@@ -22,7 +22,9 @@
 /// walks newest-first past torn or corrupted files without consuming them.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,28 @@ struct RunCheckpoint {
     std::uint64_t next_seq = 0;
 };
 
+/// The fields of a checkpoint, borrowed rather than owned: what the
+/// encoder reads. `save_checkpoint(const RunCheckpoint&)` views an owning
+/// checkpoint through it; the on_round hook views the live run state (the
+/// tape, the global model, the population columns), so a durable round
+/// encodes straight from the run without copying any of it first.
+struct CheckpointRefs {
+    const std::string& spec_text;
+    const std::string& policy;
+    std::size_t trial_index;
+    std::size_t completed_rounds;
+    const std::string& rng_state;
+    const std::vector<float>& model_params;
+    std::size_t node_offset;
+    const std::vector<std::uint64_t>& salt_history;
+    /// Population columns in `mec::PopulationSnapshot::columns` order.
+    std::span<const std::vector<double>* const> columns;
+    const std::vector<std::uint64_t>& banned_nodes;
+    const std::vector<fl::RoundMetrics>& rounds;
+    const std::vector<fl::InFlightUpdate>& flight;
+    std::uint64_t next_seq;
+};
+
 /// `ckpt_round_000042.fmsnap` — zero-padded so lexical order == round order.
 [[nodiscard]] std::string checkpoint_filename(std::size_t round);
 
@@ -65,6 +89,12 @@ struct RunCheckpoint {
 /// there to produce a torn `.tmp`).
 /// @throws util::SnapshotError on I/O failure
 void save_checkpoint(const RunCheckpoint& ckpt, const std::string& path,
+                     const std::function<void()>& mid_write = nullptr);
+
+/// The same encoder over borrowed state: byte-identical to saving an
+/// owning RunCheckpoint that holds the same values. The file image is
+/// sized by a counting pass, then encoded once into one buffer.
+void save_checkpoint(const CheckpointRefs& state, const std::string& path,
                      const std::function<void()>& mid_write = nullptr);
 
 /// Parse + validate one checkpoint file.

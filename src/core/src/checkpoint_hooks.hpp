@@ -65,7 +65,7 @@ inline fl::RunControl make_resume_control(const RunCheckpoint& ckpt) {
     return control;
 }
 
-/// The on_round hook: assemble and atomically write a checkpoint every
+/// The on_round hook: encode and atomically write a checkpoint every
 /// `every` rounds (plus the final round, so a finished run always leaves a
 /// complete checkpoint), prune to the newest `keep`, then deliver any
 /// scheduled coordinator-kill fault. A kill round forces a save first —
@@ -98,22 +98,19 @@ struct CheckpointWriter {
             every > 0
             && (round % every == 0 || round == total_rounds || kill_now || kill_mid);
         if (save_now) {
-            RunCheckpoint ckpt;
-            ckpt.spec_text = spec_text;
-            ckpt.policy = policy;
-            ckpt.trial_index = trial_index;
-            ckpt.completed_rounds = round;
-            ckpt.rng_state = serialize_rng(*run_rng);
-            ckpt.model_params = global;
-            ckpt.population = population->snapshot();
+            // Encoded from the live run state through const references:
+            // only the RNG text and the (small) ban list are materialized.
+            const std::string rng_state = serialize_rng(*run_rng);
             fl::SelectorCheckpoint sel;
             selector->save_checkpoint(sel);
-            ckpt.banned_nodes = std::move(sel.banned_nodes);
-            ckpt.rounds = rounds;
-            ckpt.flight = flight;
-            ckpt.next_seq = next_seq;
+            const mec::PopulationStore& store = population->store();
+            const auto columns = store.state_columns();
             ensure_checkpoint_dir(dir);
-            save_checkpoint(ckpt, dir + "/" + checkpoint_filename(round),
+            save_checkpoint(CheckpointRefs{spec_text, policy, trial_index, round, rng_state,
+                                           global, store.node_offset(),
+                                           store.salt_history(), columns,
+                                           sel.banned_nodes, rounds, flight, next_seq},
+                            dir + "/" + checkpoint_filename(round),
                             kill_mid
                                 ? std::function<void()>([] { std::raise(SIGKILL); })
                                 : std::function<void()>());

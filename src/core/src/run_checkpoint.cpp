@@ -11,7 +11,6 @@ namespace fmore::core {
 
 namespace fs = std::filesystem;
 using util::ByteReader;
-using util::ByteWriter;
 using util::SnapshotError;
 using util::SnapshotReader;
 using util::SnapshotWriter;
@@ -28,7 +27,11 @@ constexpr std::uint32_t kSecBlacklist = 5;   // banned node ids
 constexpr std::uint32_t kSecMetrics = 6;     // full per-round tape
 constexpr std::uint32_t kSecFlight = 7;      // async in-flight carry
 
-void put_selection(ByteWriter& w, const fl::SelectionRecord& sel) {
+// Encoders are templates over the sink: a util::ByteWriter encodes, a
+// util::ByteCounter sizes — the same calls, so the sizing pass is exact.
+
+template <class W>
+void put_selection(W& w, const fl::SelectionRecord& sel) {
     w.put_u64(sel.selected.size());
     for (const fl::SelectedClient& c : sel.selected) {
         w.put_u64(c.client);
@@ -39,9 +42,9 @@ void put_selection(ByteWriter& w, const fl::SelectionRecord& sel) {
     }
     w.put_f64_vec(sel.all_scores);
     w.put_f64_vec(sel.scores_by_node);
-    std::vector<std::uint64_t> dropped(sel.dropped_shards.begin(),
-                                       sel.dropped_shards.end());
-    w.put_u64_vec(dropped);
+    // Same bytes as put_u64_vec, without widening into a temporary.
+    w.put_u64(sel.dropped_shards.size());
+    for (std::size_t shard : sel.dropped_shards) w.put_u64(shard);
     w.put_u64(sel.shard_health.live_shards);
     w.put_u64(sel.shard_health.corrupt_frames);
     w.put_u64(sel.shard_health.frame_retries);
@@ -83,7 +86,8 @@ fl::SelectionRecord get_selection(ByteReader& r) {
     return sel;
 }
 
-void put_round(ByteWriter& w, const fl::RoundMetrics& m) {
+template <class W>
+void put_round(W& w, const fl::RoundMetrics& m) {
     w.put_u64(m.round);
     w.put_f64(m.test_accuracy);
     w.put_f64(m.test_loss);
@@ -111,6 +115,45 @@ fl::RoundMetrics get_round(ByteReader& r) {
     m.dropped_shards = r.get_u64();
     m.selection = get_selection(r);
     return m;
+}
+
+/// Every section of a checkpoint, in file order, into `out` — a
+/// util::SnapshotWriter, or a util::SnapshotSizer for the sizing pass.
+template <class Out>
+void encode_checkpoint(Out& out, const CheckpointRefs& s) {
+    out.section(kSecMeta, [&](auto& w) {
+        w.put_str(s.spec_text);
+        w.put_str(s.policy);
+        w.put_u64(s.trial_index);
+        w.put_u64(s.completed_rounds);
+    });
+    out.section(kSecRng, [&](auto& w) { w.put_str(s.rng_state); });
+    out.section(kSecModel, [&](auto& w) { w.put_f32_vec(s.model_params); });
+    out.section(kSecPopulation, [&](auto& w) {
+        w.put_u64(s.node_offset);
+        w.put_u64_vec(s.salt_history);
+        w.put_u64(s.columns.size());
+        for (const std::vector<double>* col : s.columns) w.put_f64_vec(*col);
+    });
+    out.section(kSecBlacklist, [&](auto& w) { w.put_u64_vec(s.banned_nodes); });
+    out.section(kSecMetrics, [&](auto& w) {
+        w.put_u64(s.rounds.size());
+        for (const fl::RoundMetrics& m : s.rounds) put_round(w, m);
+    });
+    out.section(kSecFlight, [&](auto& w) {
+        w.put_u64(s.next_seq);
+        w.put_u64(s.flight.size());
+        for (const fl::InFlightUpdate& u : s.flight) {
+            w.put_u64(u.seq);
+            w.put_u64(u.base_round);
+            w.put_f64(u.weight);
+            w.put_f64(u.arrival);
+            w.put_u32(u.dropped ? 1 : 0);
+            w.put_f32_vec(u.params);
+            w.put_f64(u.stats.mean_loss);
+            w.put_u64(u.stats.samples);
+        }
+    });
 }
 
 /// Round index encoded in a checkpoint filename, or nullopt for files the
@@ -172,64 +215,26 @@ void ensure_checkpoint_dir(const std::string& dir) {
                             + "': " + ec.message());
 }
 
+void save_checkpoint(const CheckpointRefs& state, const std::string& path,
+                     const std::function<void()>& mid_write) {
+    util::SnapshotSizer sizer;
+    encode_checkpoint(sizer, state);
+    SnapshotWriter writer(sizer.size());
+    encode_checkpoint(writer, state);
+    writer.write_file(path, mid_write);
+}
+
 void save_checkpoint(const RunCheckpoint& ckpt, const std::string& path,
                      const std::function<void()>& mid_write) {
-    SnapshotWriter writer;
-    {
-        ByteWriter w;
-        w.put_str(ckpt.spec_text);
-        w.put_str(ckpt.policy);
-        w.put_u64(ckpt.trial_index);
-        w.put_u64(ckpt.completed_rounds);
-        writer.add_section(kSecMeta, w.take());
-    }
-    {
-        ByteWriter w;
-        w.put_str(ckpt.rng_state);
-        writer.add_section(kSecRng, w.take());
-    }
-    {
-        ByteWriter w;
-        w.put_f32_vec(ckpt.model_params);
-        writer.add_section(kSecModel, w.take());
-    }
-    {
-        ByteWriter w;
-        w.put_u64(ckpt.population.node_offset);
-        w.put_u64_vec(ckpt.population.salt_history);
-        w.put_u64(ckpt.population.columns.size());
-        for (const std::vector<double>& col : ckpt.population.columns)
-            w.put_f64_vec(col);
-        writer.add_section(kSecPopulation, w.take());
-    }
-    {
-        ByteWriter w;
-        w.put_u64_vec(ckpt.banned_nodes);
-        writer.add_section(kSecBlacklist, w.take());
-    }
-    {
-        ByteWriter w;
-        w.put_u64(ckpt.rounds.size());
-        for (const fl::RoundMetrics& m : ckpt.rounds) put_round(w, m);
-        writer.add_section(kSecMetrics, w.take());
-    }
-    {
-        ByteWriter w;
-        w.put_u64(ckpt.next_seq);
-        w.put_u64(ckpt.flight.size());
-        for (const fl::InFlightUpdate& u : ckpt.flight) {
-            w.put_u64(u.seq);
-            w.put_u64(u.base_round);
-            w.put_f64(u.weight);
-            w.put_f64(u.arrival);
-            w.put_u32(u.dropped ? 1 : 0);
-            w.put_f32_vec(u.params);
-            w.put_f64(u.stats.mean_loss);
-            w.put_u64(u.stats.samples);
-        }
-        writer.add_section(kSecFlight, w.take());
-    }
-    writer.write_file(path, mid_write);
+    std::vector<const std::vector<double>*> columns;
+    for (const std::vector<double>& col : ckpt.population.columns) columns.push_back(&col);
+    save_checkpoint(CheckpointRefs{ckpt.spec_text, ckpt.policy, ckpt.trial_index,
+                                   ckpt.completed_rounds, ckpt.rng_state,
+                                   ckpt.model_params, ckpt.population.node_offset,
+                                   ckpt.population.salt_history, columns,
+                                   ckpt.banned_nodes, ckpt.rounds, ckpt.flight,
+                                   ckpt.next_seq},
+                    path, mid_write);
 }
 
 RunCheckpoint load_checkpoint(const std::string& path) {

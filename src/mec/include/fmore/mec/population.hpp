@@ -50,10 +50,9 @@ public:
     /// what keeps the lazy AoS mirror coherent.
     [[nodiscard]] const PopulationStore& store() const { return store_; }
 
-    /// Durable-run checkpoint support: copy out / restore the full store
-    /// state. `restore` invalidates the lazy AoS mirror, so the coherence
-    /// contract above still holds.
-    [[nodiscard]] PopulationSnapshot snapshot() const { return store_.snapshot(); }
+    /// Durable-run resume: restore the full store state (checkpoints are
+    /// encoded from `store()` directly). `restore` invalidates the lazy AoS
+    /// mirror, so the coherence contract above still holds.
     void restore(const PopulationSnapshot& snap) {
         store_.restore(snap);
         mirror_stale_ = true;

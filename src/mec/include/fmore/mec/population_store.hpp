@@ -23,6 +23,7 @@
 /// on any machine — which is the partitioning invariant the sharded
 /// auction market is built on (see ARCHITECTURE.md "Sharding the market").
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -141,6 +142,10 @@ public:
     [[nodiscard]] const std::vector<std::uint64_t>& salt_history() const {
         return salt_history_;
     }
+
+    /// The nine state columns in `PopulationSnapshot::columns` order, by
+    /// reference — what a checkpoint encodes from without copying them.
+    [[nodiscard]] std::array<const std::vector<double>*, 9> state_columns() const;
 
     /// Copy out the full mutable state (columns + offset + salt history).
     [[nodiscard]] PopulationSnapshot snapshot() const;

@@ -174,13 +174,16 @@ void PopulationStore::evolve_with_salt(std::uint64_t salt) {
     evolve_all(salt, /*parallel=*/true);
 }
 
+std::array<const std::vector<double>*, 9> PopulationStore::state_columns() const {
+    return {&theta_, &data_size_,    &category_,      &bandwidth_, &cpu_,
+            &data_cap_, &category_cap_, &bandwidth_cap_, &cpu_cap_};
+}
+
 PopulationSnapshot PopulationStore::snapshot() const {
     PopulationSnapshot snap;
     snap.node_offset = node_offset_;
     snap.salt_history = salt_history_;
-    snap.columns = {theta_,    data_size_,    category_,     bandwidth_,
-                    cpu_,      data_cap_,     category_cap_, bandwidth_cap_,
-                    cpu_cap_};
+    for (const std::vector<double>* col : state_columns()) snap.columns.push_back(*col);
     return snap;
 }
 

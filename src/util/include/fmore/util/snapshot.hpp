@@ -7,15 +7,14 @@
 /// persists everything a run needs to continue — population columns, salt
 /// history, bans, model weights, the metrics tape — into a single file per
 /// checkpoint. The format is deliberately dumb: a fixed header followed by
-/// tagged sections, every byte of which is covered by a CRC32 (the same
-/// polynomial discipline as the shard wire protocol in
-/// `mec/wire_format.hpp`, restated here because util sits below mec in the
-/// layer order). A torn write, a truncated prefix, or a single flipped bit
+/// tagged sections, every byte of which is covered by a CRC32 (`util/crc32.hpp`,
+/// the same checksum the shard wire protocol in `mec/wire_format.hpp`
+/// frames with). A torn write, a truncated prefix, or a single flipped bit
 /// anywhere in the file fails a checksum or a bounds check and raises
 /// `SnapshotError` with the offending path and section — a checkpoint is
 /// either consumed whole or rejected whole, never half-loaded.
 ///
-/// Writes are atomic: the file is assembled in memory, written to
+/// Writes are atomic: the file image is encoded in one buffer, written to
 /// `<path>.tmp`, fsync'd, renamed over `<path>`, and the directory is
 /// fsync'd. A crash at any point leaves either the previous file or a
 /// `.tmp` that readers never look at.
@@ -31,14 +30,21 @@
 /// the 16 bytes before it; `payload_crc` covers the payload. Trailing bytes
 /// after the last section are an error (they would mean a size/count
 /// mismatch slipped through).
+///
+/// The codec is little-endian by definition and only builds on
+/// little-endian hosts, so every scalar and every vector body is a plain
+/// memcpy of its in-memory bytes.
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "fmore/util/crc32.hpp"
 
 namespace fmore::util {
 
@@ -49,30 +55,65 @@ public:
     explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte range. Matches the checksum
-/// the shard wire protocol uses, so the two subsystems share one notion of
-/// "this frame is intact".
-[[nodiscard]] std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size);
+// The codec's byte order is the host's: memcpy of a scalar or a vector
+// body IS its little-endian encoding.
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot codec is little-endian and memcpy-based");
 
 /// Append-only little-endian encoder for section payloads. Strings and
 /// vectors are length-prefixed; floats go through memcpy so the bit
-/// pattern — not a decimal rendering — is what round-trips.
+/// pattern — not a decimal rendering — is what round-trips. A vector body
+/// is one bulk append.
 class ByteWriter {
 public:
-    void put_u32(std::uint32_t v);
-    void put_u64(std::uint64_t v);
-    void put_f32(float v);
-    void put_f64(double v);
-    void put_str(const std::string& s);
-    void put_f32_vec(const std::vector<float>& v);
-    void put_f64_vec(const std::vector<double>& v);
-    void put_u64_vec(const std::vector<std::uint64_t>& v);
+    void put_u32(std::uint32_t v) { append(&v, sizeof v); }
+    void put_u64(std::uint64_t v) { append(&v, sizeof v); }
+    void put_f32(float v) { append(&v, sizeof v); }
+    void put_f64(double v) { append(&v, sizeof v); }
+    void put_str(const std::string& s) {
+        put_u64(s.size());
+        append(s.data(), s.size());
+    }
+    void put_f32_vec(const std::vector<float>& v) { put_vec(v); }
+    void put_f64_vec(const std::vector<double>& v) { put_vec(v); }
+    void put_u64_vec(const std::vector<std::uint64_t>& v) { put_vec(v); }
 
     [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bytes_; }
     [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
 private:
+    friend class SnapshotWriter;
+
+    void append(const void* data, std::size_t size) {
+        const auto* p = static_cast<const std::uint8_t*>(data);
+        bytes_.insert(bytes_.end(), p, p + size);
+    }
+    template <class T>
+    void put_vec(const std::vector<T>& v) {
+        put_u64(v.size());
+        append(v.data(), v.size() * sizeof(T));
+    }
+
     std::vector<std::uint8_t> bytes_;
+};
+
+/// Byte count of what a ByteWriter would append for the same calls — the
+/// sizing pass that lets a SnapshotWriter allocate its file image once.
+class ByteCounter {
+public:
+    void put_u32(std::uint32_t) { size_ += 4; }
+    void put_u64(std::uint64_t) { size_ += 8; }
+    void put_f32(float) { size_ += 4; }
+    void put_f64(double) { size_ += 8; }
+    void put_str(const std::string& s) { size_ += 8 + s.size(); }
+    void put_f32_vec(const std::vector<float>& v) { size_ += 8 + 4 * v.size(); }
+    void put_f64_vec(const std::vector<double>& v) { size_ += 8 + 8 * v.size(); }
+    void put_u64_vec(const std::vector<std::uint64_t>& v) { size_ += 8 + 8 * v.size(); }
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+private:
+    std::size_t size_ = 0;
 };
 
 /// Bounds-checked decoder for section payloads. Every read that would run
@@ -99,6 +140,10 @@ public:
 
 private:
     void need(std::size_t n, const char* what) const;
+    /// u64 element count, then that many `T`s in one memcpy. The count is
+    /// checked as `n > remaining() / sizeof(T)`, which cannot wrap.
+    template <class T>
+    std::vector<T> get_vec(const char* what);
 
     const std::uint8_t* data_;
     std::size_t size_;
@@ -106,14 +151,35 @@ private:
     std::string context_;
 };
 
-/// Assembles a snapshot file from tagged sections and writes it atomically.
+/// Encodes a snapshot file from tagged sections straight into its final
+/// file image — one buffer, no per-section copies — and writes it
+/// atomically.
 class SnapshotWriter {
 public:
-    /// Add one section. Tags must be unique within a file.
-    void add_section(std::uint32_t tag, std::vector<std::uint8_t> payload);
+    /// `reserve_bytes`: expected size of the whole image (a
+    /// SnapshotSizer's `size()`), so encoding never reallocates.
+    explicit SnapshotWriter(std::size_t reserve_bytes = 0);
 
-    /// Serialize the whole file to bytes (header + sections).
-    [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+    /// Add one section whose payload `encode(ByteWriter&)` appends. Its
+    /// header slot goes in first; size and CRC are filled in once the
+    /// payload is written. Tags must be unique within a file. If `encode`
+    /// throws, the half-written section stays: discard the writer.
+    template <class Encode>
+    void section(std::uint32_t tag, Encode&& encode) {
+        const std::size_t start = open_section(tag);
+        encode(image_);
+        close_section(start);
+    }
+
+    /// Add one section with a ready-made payload.
+    void add_section(std::uint32_t tag, const std::vector<std::uint8_t>& payload) {
+        section(tag, [&](ByteWriter& w) { w.append(payload.data(), payload.size()); });
+    }
+
+    /// The complete file image (header + every section added so far).
+    [[nodiscard]] const std::vector<std::uint8_t>& serialize() const {
+        return image_.bytes();
+    }
 
     /// Atomic write: `<path>.tmp` + fsync + rename + directory fsync.
     /// `mid_write`, when set, runs after roughly half the bytes hit the
@@ -125,13 +191,34 @@ public:
 
     static constexpr std::uint32_t kMagic = 0x4E534D46u; // 'FMSN' little-endian
     static constexpr std::uint32_t kVersion = 1;
+    static constexpr std::size_t kHeaderBytes = 16;
+    static constexpr std::size_t kSectionHeaderBytes = 20;
 
 private:
-    struct Section {
-        std::uint32_t tag;
-        std::vector<std::uint8_t> payload;
-    };
-    std::vector<Section> sections_;
+    /// Checks the tag, appends a blank section header; returns its offset.
+    std::size_t open_section(std::uint32_t tag);
+    /// Fills the header at `start` in and re-seals the file header count.
+    void close_section(std::size_t start);
+
+    ByteWriter image_;
+    std::vector<std::uint32_t> tags_;
+};
+
+/// Exact file size a SnapshotWriter reaches for the same `section` calls,
+/// computed by running each encoder against a ByteCounter.
+class SnapshotSizer {
+public:
+    template <class Encode>
+    void section(std::uint32_t /*tag*/, Encode&& encode) {
+        ByteCounter payload;
+        encode(payload);
+        size_ += SnapshotWriter::kSectionHeaderBytes + payload.size();
+    }
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+private:
+    std::size_t size_ = SnapshotWriter::kHeaderBytes;
 };
 
 /// Parses and fully validates a snapshot file: magic, version, all three

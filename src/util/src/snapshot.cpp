@@ -3,7 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -12,40 +14,19 @@ namespace fmore::util {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int k = 0; k < 8; ++k)
-            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-        table[i] = c;
-    }
-    return table;
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 std::uint32_t read_u32_at(const std::uint8_t* p) {
-    return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
+    std::uint32_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
 }
 
 std::uint64_t read_u64_at(const std::uint8_t* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
     return v;
 }
+
+void write_u32_at(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, sizeof v); }
 
 /// write(2) until done, retrying on EINTR. Throws on any other failure.
 void write_all(int fd, const std::uint8_t* data, std::size_t size,
@@ -64,51 +45,6 @@ void write_all(int fd, const std::uint8_t* data, std::size_t size,
 }
 
 } // namespace
-
-std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
-    static const std::array<std::uint32_t, 256> table = make_crc_table();
-    std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
-}
-
-// ---------------------------------------------------------------- ByteWriter
-
-void ByteWriter::put_u32(std::uint32_t v) { append_u32(bytes_, v); }
-void ByteWriter::put_u64(std::uint64_t v) { append_u64(bytes_, v); }
-
-void ByteWriter::put_f32(float v) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    put_u32(bits);
-}
-
-void ByteWriter::put_f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    put_u64(bits);
-}
-
-void ByteWriter::put_str(const std::string& s) {
-    put_u64(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::put_f32_vec(const std::vector<float>& v) {
-    put_u64(v.size());
-    for (float x : v) put_f32(x);
-}
-
-void ByteWriter::put_f64_vec(const std::vector<double>& v) {
-    put_u64(v.size());
-    for (double x : v) put_f64(x);
-}
-
-void ByteWriter::put_u64_vec(const std::vector<std::uint64_t>& v) {
-    put_u64(v.size());
-    for (std::uint64_t x : v) put_u64(x);
-}
 
 // ---------------------------------------------------------------- ByteReader
 
@@ -133,19 +69,8 @@ std::uint64_t ByteReader::get_u64() {
     return v;
 }
 
-float ByteReader::get_f32() {
-    std::uint32_t bits = get_u32();
-    float v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-double ByteReader::get_f64() {
-    std::uint64_t bits = get_u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
+float ByteReader::get_f32() { return std::bit_cast<float>(get_u32()); }
+double ByteReader::get_f64() { return std::bit_cast<double>(get_u64()); }
 
 std::string ByteReader::get_str() {
     std::uint64_t n = get_u64();
@@ -155,28 +80,23 @@ std::string ByteReader::get_str() {
     return s;
 }
 
-std::vector<float> ByteReader::get_f32_vec() {
-    std::uint64_t n = get_u64();
-    need(n * 4, "f32 vector");
-    std::vector<float> v(n);
-    for (std::uint64_t i = 0; i < n; ++i) v[i] = get_f32();
+template <class T>
+std::vector<T> ByteReader::get_vec(const char* what) {
+    const std::uint64_t n = get_u64();
+    if (n > remaining() / sizeof(T))
+        throw SnapshotError("snapshot: " + context_ + ": " + what + " declares "
+                            + std::to_string(n) + " elements, only "
+                            + std::to_string(remaining()) + " bytes left");
+    std::vector<T> v(n);
+    if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
     return v;
 }
 
-std::vector<double> ByteReader::get_f64_vec() {
-    std::uint64_t n = get_u64();
-    need(n * 8, "f64 vector");
-    std::vector<double> v(n);
-    for (std::uint64_t i = 0; i < n; ++i) v[i] = get_f64();
-    return v;
-}
-
+std::vector<float> ByteReader::get_f32_vec() { return get_vec<float>("f32 vector"); }
+std::vector<double> ByteReader::get_f64_vec() { return get_vec<double>("f64 vector"); }
 std::vector<std::uint64_t> ByteReader::get_u64_vec() {
-    std::uint64_t n = get_u64();
-    need(n * 8, "u64 vector");
-    std::vector<std::uint64_t> v(n);
-    for (std::uint64_t i = 0; i < n; ++i) v[i] = get_u64();
-    return v;
+    return get_vec<std::uint64_t>("u64 vector");
 }
 
 void ByteReader::expect_end() const {
@@ -188,34 +108,41 @@ void ByteReader::expect_end() const {
 
 // ------------------------------------------------------------ SnapshotWriter
 
-void SnapshotWriter::add_section(std::uint32_t tag, std::vector<std::uint8_t> payload) {
-    for (const Section& s : sections_)
-        if (s.tag == tag)
-            throw SnapshotError("snapshot: duplicate section tag " + std::to_string(tag));
-    sections_.push_back(Section{tag, std::move(payload)});
+SnapshotWriter::SnapshotWriter(std::size_t reserve_bytes) {
+    image_.bytes_.reserve(std::max(reserve_bytes, kHeaderBytes));
+    image_.put_u32(kMagic);
+    image_.put_u32(kVersion);
+    image_.put_u32(0); // section count, sealed by close_section
+    image_.put_u32(crc32(image_.bytes_.data(), 12));
 }
 
-std::vector<std::uint8_t> SnapshotWriter::serialize() const {
-    std::vector<std::uint8_t> out;
-    append_u32(out, kMagic);
-    append_u32(out, kVersion);
-    append_u32(out, static_cast<std::uint32_t>(sections_.size()));
-    append_u32(out, snapshot_crc32(out.data(), out.size()));
-    for (const Section& s : sections_) {
-        std::vector<std::uint8_t> hdr;
-        append_u32(hdr, s.tag);
-        append_u64(hdr, s.payload.size());
-        append_u32(hdr, snapshot_crc32(s.payload.data(), s.payload.size()));
-        append_u32(hdr, snapshot_crc32(hdr.data(), hdr.size()));
-        out.insert(out.end(), hdr.begin(), hdr.end());
-        out.insert(out.end(), s.payload.begin(), s.payload.end());
-    }
-    return out;
+std::size_t SnapshotWriter::open_section(std::uint32_t tag) {
+    if (std::find(tags_.begin(), tags_.end(), tag) != tags_.end())
+        throw SnapshotError("snapshot: duplicate section tag " + std::to_string(tag));
+    tags_.push_back(tag);
+    const std::size_t start = image_.bytes_.size();
+    image_.put_u32(tag);
+    image_.put_u64(0); // payload size, filled in by close_section
+    image_.put_u32(0); // payload CRC, likewise
+    image_.put_u32(0); // section header CRC, likewise
+    return start;
+}
+
+void SnapshotWriter::close_section(std::size_t start) {
+    std::uint8_t* bytes = image_.bytes_.data();
+    std::uint8_t* hdr = bytes + start;
+    const std::uint64_t payload_size =
+        image_.bytes_.size() - start - kSectionHeaderBytes;
+    std::memcpy(hdr + 4, &payload_size, sizeof payload_size);
+    write_u32_at(hdr + 12, crc32(hdr + kSectionHeaderBytes, payload_size));
+    write_u32_at(hdr + 16, crc32(hdr, 16));
+    write_u32_at(bytes + 8, static_cast<std::uint32_t>(tags_.size()));
+    write_u32_at(bytes + 12, crc32(bytes, 12));
 }
 
 void SnapshotWriter::write_file(const std::string& path,
                                 const std::function<void()>& mid_write) const {
-    const std::vector<std::uint8_t> bytes = serialize();
+    const std::vector<std::uint8_t>& bytes = image_.bytes();
     const std::string tmp = path + ".tmp";
 
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -302,7 +229,7 @@ void SnapshotReader::parse(const std::vector<std::uint8_t>& bytes) {
         fail("unsupported version " + std::to_string(version) + " (expected " +
              std::to_string(SnapshotWriter::kVersion) + ")");
     const std::uint32_t count = read_u32_at(bytes.data() + 8);
-    if (read_u32_at(bytes.data() + 12) != snapshot_crc32(bytes.data(), 12))
+    if (read_u32_at(bytes.data() + 12) != crc32(bytes.data(), 12))
         fail("file header checksum mismatch");
 
     std::size_t pos = 16;
@@ -310,7 +237,7 @@ void SnapshotReader::parse(const std::vector<std::uint8_t>& bytes) {
         if (bytes.size() - pos < 20)
             fail("truncated at section " + std::to_string(i) + " header");
         const std::uint8_t* hdr = bytes.data() + pos;
-        if (read_u32_at(hdr + 16) != snapshot_crc32(hdr, 16))
+        if (read_u32_at(hdr + 16) != crc32(hdr, 16))
             fail("section " + std::to_string(i) + " header checksum mismatch");
         const std::uint32_t tag = read_u32_at(hdr);
         const std::uint64_t payload_size = read_u64_at(hdr + 4);
@@ -320,7 +247,7 @@ void SnapshotReader::parse(const std::vector<std::uint8_t>& bytes) {
             fail("section " + std::to_string(i) + " (tag " + std::to_string(tag) +
                  ") truncated: payload needs " + std::to_string(payload_size) +
                  " bytes, " + std::to_string(bytes.size() - pos) + " left");
-        if (snapshot_crc32(bytes.data() + pos, payload_size) != payload_crc)
+        if (crc32(bytes.data() + pos, payload_size) != payload_crc)
             fail("section " + std::to_string(i) + " (tag " + std::to_string(tag) +
                  ") payload checksum mismatch");
         if (sections_.count(tag))

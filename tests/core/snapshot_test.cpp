@@ -11,10 +11,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fmore/core/run_checkpoint.hpp"
@@ -132,6 +135,76 @@ TEST(Snapshot, ExpectEndRejectsLeftoverBytes) {
     EXPECT_THROW(r.expect_end(), SnapshotError);
 }
 
+/// Per-element little-endian encoding by shifts — the byte-at-a-time
+/// encoder the bulk memcpy codec replaced, kept as its oracle.
+template <class T>
+void oracle_put_vec(std::vector<std::uint8_t>& out, const std::vector<T>& v) {
+    const auto put = [&](std::uint64_t x, int bytes) {
+        for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+    };
+    put(v.size(), 8);
+    for (const T& x : v) {
+        if constexpr (sizeof(T) == 4) {
+            std::uint32_t bits;
+            std::memcpy(&bits, &x, 4);
+            put(bits, 4);
+        } else {
+            std::uint64_t bits;
+            std::memcpy(&bits, &x, 8);
+            put(bits, 8);
+        }
+    }
+}
+
+TEST(Snapshot, BulkVectorCodecMatchesPerElementOracle) {
+    std::mt19937_64 gen(7);
+    for (std::size_t n : {0u, 1u, 2u, 3u, 17u, 1000u}) {
+        std::vector<float> fv(n);
+        for (float& f : fv) f = static_cast<float>(gen()) * -1e-9f;
+        std::vector<double> dv(n);
+        for (double& x : dv) x = static_cast<double>(gen()) * 1e-7;
+        std::vector<std::uint64_t> uv(n);
+        for (std::uint64_t& u : uv) u = gen();
+
+        ByteWriter w;
+        w.put_f32_vec(fv);
+        w.put_f64_vec(dv);
+        w.put_u64_vec(uv);
+        std::vector<std::uint8_t> want;
+        oracle_put_vec(want, fv);
+        oracle_put_vec(want, dv);
+        oracle_put_vec(want, uv);
+        EXPECT_EQ(w.bytes(), want) << "n = " << n;
+    }
+}
+
+/// A payload whose u64 element count is 2^62 + 1 followed by eight bytes:
+/// `count * 4` and `count * 8` both wrap to a size those bytes satisfy.
+std::vector<std::uint8_t> wrapping_count_payload() {
+    ByteWriter w;
+    w.put_u64((1ull << 62) + 1);
+    w.put_u64(0);
+    return w.take();
+}
+
+TEST(Snapshot, WrappingVectorCountInACrcValidSectionIsRejected) {
+    SnapshotWriter writer;
+    writer.add_section(1, wrapping_count_payload());
+    const SnapshotReader reader = SnapshotReader::from_bytes(writer.serialize(), "wrap");
+    {
+        ByteReader r = reader.open_section(1);
+        EXPECT_THROW((void)r.get_f32_vec(), SnapshotError);
+    }
+    {
+        ByteReader r = reader.open_section(1);
+        EXPECT_THROW((void)r.get_f64_vec(), SnapshotError);
+    }
+    {
+        ByteReader r = reader.open_section(1);
+        EXPECT_THROW((void)r.get_u64_vec(), SnapshotError);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // SnapshotWriter / SnapshotReader container
 // ---------------------------------------------------------------------------
@@ -196,6 +269,29 @@ TEST(Snapshot, TrailingBytesAreRejected) {
     bytes.push_back(0);
     EXPECT_THROW((void)SnapshotReader::from_bytes(std::move(bytes), "trail"),
                  SnapshotError);
+}
+
+TEST(Snapshot, SizerPredictsTheWriterImageExactly) {
+    const auto encode = [](auto& out) {
+        out.section(2, [](auto& w) {
+            w.put_str("sized");
+            w.put_u32(5);
+            w.put_f32(1.5f);
+            w.put_f64_vec({1.0, 2.0});
+        });
+        out.section(9, [](auto& w) {
+            w.put_f32_vec({0.5f});
+            w.put_u64_vec({});
+            w.put_f64(2.0);
+            w.put_u64(3);
+        });
+    };
+    util::SnapshotSizer sizer;
+    encode(sizer);
+    SnapshotWriter writer(sizer.size());
+    encode(writer);
+    EXPECT_EQ(writer.serialize().size(), sizer.size());
+    EXPECT_EQ(SnapshotReader::from_bytes(writer.serialize(), "sized").section_count(), 2u);
 }
 
 TEST(Snapshot, FileRoundTripLeavesNoTemp) {
@@ -402,6 +498,51 @@ TEST(RunCheckpointIO, FindLatestValidSkipsCorruptedNewest) {
     EXPECT_EQ(latest->completed_rounds, 2u);
 }
 
+TEST(RunCheckpointIO, FindLatestValidSkipsAWrappingVectorCount) {
+    // Each variant is a fully CRC-valid round-3 checkpoint in which one
+    // vector — the model (f32), a population column (f64), the bans (u64)
+    // — declares 2^62 + 1 elements. Resume must skip it like any corrupt
+    // file and fall back to round 2, not abort on std::length_error.
+    constexpr std::uint32_t kModel = 3, kPopulation = 4, kBlacklist = 5;
+    std::vector<std::uint8_t> wrapped_column;
+    {
+        ByteWriter w;
+        w.put_u64(5);    // node_offset
+        w.put_u64_vec({}); // salt history
+        w.put_u64(1);    // one column, whose count wraps
+        const std::vector<std::uint8_t> tail = wrapping_count_payload();
+        wrapped_column = w.take();
+        wrapped_column.insert(wrapped_column.end(), tail.begin(), tail.end());
+    }
+    const std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> variants = {
+        {kModel, wrapping_count_payload()},
+        {kPopulation, wrapped_column},
+        {kBlacklist, wrapping_count_payload()},
+    };
+    for (const auto& [bad_tag, bad_payload] : variants) {
+        TempDir tmp;
+        RunCheckpoint ckpt = sample_checkpoint();
+        save_checkpoint(ckpt, tmp.path(checkpoint_filename(2)));
+        fl::RoundMetrics extra = ckpt.rounds.back();
+        extra.round = 3;
+        ckpt.rounds.push_back(extra);
+        ckpt.completed_rounds = 3;
+        const std::string newest = tmp.path(checkpoint_filename(3));
+        save_checkpoint(ckpt, newest);
+
+        const SnapshotReader good = SnapshotReader::from_file(newest);
+        SnapshotWriter crafted;
+        for (std::uint32_t tag = 1; tag <= 7; ++tag)
+            crafted.add_section(tag, tag == bad_tag ? bad_payload : good.section(tag));
+        crafted.write_file(newest);
+
+        EXPECT_THROW((void)load_checkpoint(newest), SnapshotError) << "tag " << bad_tag;
+        const auto latest = find_latest_valid(tmp.str());
+        ASSERT_TRUE(latest.has_value()) << "tag " << bad_tag;
+        EXPECT_EQ(latest->completed_rounds, 2u) << "tag " << bad_tag;
+    }
+}
+
 TEST(RunCheckpointIO, FindLatestValidOnEmptyOrMissingDirIsEmpty) {
     TempDir tmp;
     EXPECT_FALSE(find_latest_valid(tmp.str()).has_value());
@@ -425,6 +566,107 @@ TEST(RunCheckpointIO, PruneKeepsNewestKAndSweepsTemps) {
     EXPECT_TRUE(fs::exists(tmp.path(checkpoint_filename(4))));
     EXPECT_TRUE(fs::exists(tmp.path(checkpoint_filename(5))));
     EXPECT_FALSE(fs::exists(tmp.path("stale.fmsnap.tmp")));
+}
+
+/// A checkpoint that fills every section with non-trivial, odd-length
+/// content: a three-round tape with full score boards, dropped shards and
+/// close telemetry, nine population columns plus salt history, bans, and
+/// an async flight carrying parameters. Values are closed-form in their
+/// indices so the fixture needs no RNG.
+RunCheckpoint golden_checkpoint() {
+    constexpr std::size_t kNodes = 37;
+    RunCheckpoint ckpt;
+    ckpt.spec_text = "mode = testbed\nseed = 11\npopulation.num_nodes = 37\n";
+    ckpt.policy = "fmore";
+    ckpt.trial_index = 1;
+    ckpt.rng_state = "5489 1 2 3 4 5 6 7 8 9";
+    for (std::size_t i = 0; i < 101; ++i)
+        ckpt.model_params.push_back(0.03125f * static_cast<float>(i) - 1.5f);
+    ckpt.population.node_offset = 3;
+    ckpt.population.salt_history = {0x0123456789ABCDEFull, 7, 0xFFFFFFFFFFFFFFFFull};
+    for (std::size_t c = 0; c < 9; ++c) {
+        std::vector<double> col(kNodes);
+        for (std::size_t i = 0; i < kNodes; ++i)
+            col[i] = static_cast<double>(c + 1) * 0.1 + static_cast<double>(i) / 7.0;
+        ckpt.population.columns.push_back(std::move(col));
+    }
+    ckpt.banned_nodes = {4, 19, 36};
+    for (std::size_t round = 1; round <= 3; ++round) {
+        fl::RoundMetrics m;
+        m.round = round;
+        m.test_accuracy = 0.1 * static_cast<double>(round);
+        m.test_loss = 2.0 / static_cast<double>(round);
+        m.train_loss = 1.0 / static_cast<double>(round + 1);
+        m.mean_winner_payment = 3.25 + static_cast<double>(round);
+        m.mean_winner_score = 0.375;
+        m.round_seconds = 11.0 * static_cast<double>(round);
+        m.aggregated_updates = 2 + round;
+        m.mean_staleness = round == 3 ? 1.5 : 0.0;
+        m.dropped_shards = round - 1;
+        for (std::size_t k = 0; k < 2 + round; ++k) {
+            fl::SelectedClient c;
+            c.client = (7 * k + round) % kNodes;
+            c.payment = 0.5 * static_cast<double>(k + round);
+            c.score = 1.0 / static_cast<double>(k + 2);
+            if ((k + round) % 2 == 0) c.train_samples = 100 + k;
+            m.selection.selected.push_back(c);
+        }
+        for (std::size_t i = 0; i < kNodes; ++i)
+            m.selection.scores_by_node.push_back(static_cast<double>((i * 13 + round) % kNodes)
+                                                 / 37.0);
+        for (std::size_t i = 0; i < kNodes - round; ++i)
+            m.selection.all_scores.push_back(1.0 - static_cast<double>(i) / 40.0);
+        for (std::size_t s = 0; s + 1 < round; ++s) m.selection.dropped_shards.push_back(2 * s + 1);
+        m.selection.shard_health = {8 - round, round, 2 * round, round - 1, round - 1};
+        m.selection.close_reason = round == 1 ? "" : (round == 2 ? "quorum" : "deadline");
+        m.selection.close_time_s = 0.25 * static_cast<double>(round);
+        m.selection.arrived_bids = kNodes - round;
+        m.selection.bid_quorum = 30;
+        ckpt.rounds.push_back(m);
+    }
+    ckpt.completed_rounds = ckpt.rounds.size();
+    for (std::size_t k = 0; k < 2; ++k) {
+        fl::InFlightUpdate u;
+        u.seq = 40 + k;
+        u.base_round = 2 + k;
+        u.weight = 0.75 - 0.25 * static_cast<double>(k);
+        u.arrival = 33.5 + static_cast<double>(k);
+        u.dropped = k == 1;
+        for (std::size_t i = 0; i < 101; ++i)
+            u.params.push_back(static_cast<float>(i + k) * 0.5f);
+        u.stats.mean_loss = 0.875;
+        u.stats.samples = 250 + k;
+        ckpt.flight.push_back(u);
+    }
+    ckpt.next_seq = 42;
+    return ckpt;
+}
+
+/// FNV-1a 64 — independent of the CRC under test, so the pin catches a
+/// codec or container change even if the checksum changed with it.
+std::uint64_t fnv1a64(const std::vector<char>& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (char c : bytes) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(RunCheckpointIO, GoldenFileBytesAreFrozen) {
+    // Size and digest recorded from the byte-at-a-time encoder that wrote
+    // every checkpoint before the bulk codec; the format is frozen at
+    // SnapshotWriter::kVersion = 1, so these never move without a bump.
+    TempDir tmp;
+    const std::string path = tmp.path(checkpoint_filename(3));
+    save_checkpoint(golden_checkpoint(), path);
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    EXPECT_EQ(SnapshotWriter::kVersion, 1u);
+    EXPECT_EQ(bytes.size(), 7204u);
+    EXPECT_EQ(fnv1a64(bytes), 0x1c7c799cf6c61a40ull);
+    expect_checkpoints_equal(golden_checkpoint(), load_checkpoint(path));
 }
 
 TEST(RunCheckpointIO, FilenameAndRunDirAreStable) {
