@@ -1,7 +1,8 @@
 // micro_kernels: the performance ledger of the compute substrate. Measures
 //  (1) the ml::gemm micro-kernel against the naive triple loop (GFLOP/s),
-//  (2) Conv2d / Dense / Lstm forward+backward at the paper's MNIST/HPNews
-//      shapes, GEMM path vs the FMORE_NAIVE_KERNELS reference loops,
+//  (2) Conv2d / Dense / Lstm forward+backward at the paper's MNIST/CIFAR/
+//      HPNews shapes, GEMM path vs the FMORE_NAIVE_KERNELS reference loops,
+//      plus one whole make_cnn_deep SGD step (paper/fig06's model),
 //  (3) end-to-end round time of the `paper/fig04` scenario: the pre-PR
 //      baseline (naive kernels, serial round) vs the GEMM path at 1/2/4/8
 //      round threads,
@@ -30,7 +31,9 @@
 #include "fmore/ml/dropout.hpp"
 #include "fmore/ml/gemm.hpp"
 #include "fmore/ml/lstm.hpp"
+#include "fmore/ml/model_zoo.hpp"
 #include "fmore/ml/pooling.hpp"
+#include "fmore/ml/synthetic.hpp"
 #include "fmore/ml/tensor.hpp"
 #include "fmore/stats/rng.hpp"
 
@@ -146,6 +149,59 @@ LayerResult bench_layer(const std::string& name, const std::string& shape,
     }
     ml::set_naive_kernels(-1);
     return out;
+}
+
+struct TrainStepResult {
+    std::string shape;
+    double naive_us = 0.0;
+    double gemm_us = 0.0;
+};
+
+/// One minibatch SGD step (forward, loss, backward, update) of
+/// make_cnn_deep on CIFAR-shaped images — the unit of local training in
+/// paper/fig06 — under both kernel paths. Each repetition trains a fresh
+/// copy of the same model on the same batch.
+TrainStepResult bench_train_step(std::size_t reps) {
+    stats::Rng data_rng(13);
+    ml::ImageDatasetSpec spec = ml::cifar10_spec(16);
+    const ml::Dataset data = ml::make_synthetic_images(spec, data_rng);
+    std::vector<std::size_t> indices(data.size());
+    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    const ml::ImageSpec image{spec.channels, spec.height, spec.width, data.num_classes};
+    const ml::Model model = ml::make_cnn_deep(image, 5);
+
+    TrainStepResult out;
+    out.shape = "B16 " + std::to_string(spec.channels) + "x" + std::to_string(spec.height)
+                + "x" + std::to_string(spec.width);
+    for (const bool naive : {true, false}) {
+        ml::set_naive_kernels(naive ? 1 : 0);
+        const double t = best_seconds(reps, [&] {
+            ml::Model copy = model.clone();
+            (void)copy.train_epoch(data, indices, 16, 0.05);
+        });
+        (naive ? out.naive_us : out.gemm_us) = t * 1e6;
+    }
+    ml::set_naive_kernels(-1);
+    return out;
+}
+
+/// The widest SIMD extension this binary was compiled for.
+const char* compiled_isa() {
+#if defined(__AVX512F__)
+    return "avx512f";
+#elif defined(__AVX2__)
+    return "avx2";
+#elif defined(__AVX__)
+    return "avx";
+#elif defined(__SSE4_2__)
+    return "sse4.2";
+#elif defined(__SSE2__)
+    return "sse2";
+#elif defined(__ARM_NEON)
+    return "neon";
+#else
+    return "scalar";
+#endif
 }
 
 struct ElementwiseResult {
@@ -272,6 +328,10 @@ int main(int argc, char** argv) {
         [] { return std::make_unique<ml::Conv2d>(1, 8, 3); },
         {16, 1, 12, 12}, reps * 5));
     layers.push_back(bench_layer(
+        "conv2d_cifar", "B16 3x14x14 -> 8@3x3",
+        [] { return std::make_unique<ml::Conv2d>(3, 8, 3); },
+        {16, 3, 14, 14}, reps * 5));
+    layers.push_back(bench_layer(
         "conv2d_deep", "B16 8x6x6 -> 16@3x3",
         [] { return std::make_unique<ml::Conv2d>(8, 16, 3); },
         {16, 8, 6, 6}, reps * 5));
@@ -290,6 +350,12 @@ int main(int argc, char** argv) {
                     l.fwd_naive_us / l.fwd_gemm_us, l.bwd_naive_us, l.bwd_gemm_us,
                     l.bwd_naive_us / l.bwd_gemm_us);
     }
+
+    // (2a) One whole SGD step of paper/fig06's model.
+    const TrainStepResult step = bench_train_step(reps * 5);
+    std::printf("\ntrain step (make_cnn_deep, %s): naive %8.1f us -> gemm %8.1f us (%.2fx)\n",
+                step.shape.c_str(), step.naive_us, step.gemm_us,
+                step.naive_us / step.gemm_us);
 
     // (2b) The elementwise stack: allocating API vs the in-place arena.
     const ElementwiseResult elementwise = bench_elementwise(reps * 5);
@@ -324,6 +390,8 @@ int main(int argc, char** argv) {
     // had so the threads rows are interpretable.
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
+    // The gemm, layer and train-step rows run on one thread.
+    std::fprintf(f, "  \"kernel_threads\": 1,\n  \"isa\": \"%s\",\n", compiled_isa());
     std::fprintf(f, "  \"gemm\": [\n");
     for (std::size_t i = 0; i < gemms.size(); ++i) {
         const GemmResult& g = gemms[i];
@@ -346,7 +414,12 @@ int main(int argc, char** argv) {
             l.bwd_naive_us / l.bwd_gemm_us, i + 1 < layers.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"elementwise\": {\"shape\": \"%s\", \"alloc_us\": %.4g, "
+                 "  ],\n  \"train_step\": {\"model\": \"make_cnn_deep\", \"shape\": \"%s\", "
+                 "\"naive_us\": %.4g, \"gemm_us\": %.4g, \"speedup\": %.4g},\n",
+                 step.shape.c_str(), step.naive_us, step.gemm_us,
+                 step.naive_us / step.gemm_us);
+    std::fprintf(f,
+                 "  \"elementwise\": {\"shape\": \"%s\", \"alloc_us\": %.4g, "
                  "\"arena_us\": %.4g, \"speedup\": %.4g},\n",
                  elementwise.shape.c_str(), elementwise.alloc_us, elementwise.arena_us,
                  elementwise.alloc_us / elementwise.arena_us);

@@ -2,11 +2,12 @@
 
 /// @file gemm.hpp
 /// The micro-kernel substrate of the ml layer: a register-blocked,
-/// cache-friendly float GEMM plus the im2col/col2im lowering that turns
-/// convolutions into matrix multiplies. `Conv2d`, `Dense` and `Lstm`'s gate
-/// matmuls are all built on these kernels; `FMORE_NAIVE_KERNELS=1` (or
-/// `set_naive_kernels`) switches every layer back to the original textbook
-/// loops, which stay compiled as the reference implementation.
+/// cache-friendly float GEMM plus the im2col lowering and lane-layout
+/// convolution kernels that turn convolutions into matrix multiplies.
+/// `Conv2d`, `Dense` and `Lstm`'s gate matmuls are all built on these
+/// kernels; `FMORE_NAIVE_KERNELS=1` (or `set_naive_kernels`) switches every
+/// layer back to the original textbook loops, which stay compiled as the
+/// reference implementation.
 ///
 /// ## Bit-exactness contract
 ///
@@ -20,8 +21,27 @@
 /// `acc += a * b` operation in both paths. This is what lets the naive
 /// escape hatch double as an exact equivalence oracle in tests, and keeps
 /// every experiment's metrics unchanged by the kernel rewrite.
+///
+/// ## Lane layouts
+///
+/// Some kernels transpose an operand so that a dimension of *independent*
+/// elements becomes the unit-stride lane dimension, then transpose the
+/// result back. Such a layout only decides which chains run side by side;
+/// no single element's chain is split or reordered:
+/// - `conv2d_input_grad_lanes` puts up to 16 images of the batch in lanes
+///   (`gy` as [oc][p][lane], `gx` as [ic][h*w][lane]). Images never share
+///   an element, and each element still sums oc ascending, then
+///   kernel taps (ky, kx) descending — the reference's ascending output
+///   pixel order.
+/// - `conv2d_weight_grad` puts output channels in lanes (`gy` as [p][oc],
+///   the gradient as [tap][oc]). Each element still sums images ascending,
+///   then output pixels ascending, seeded from the existing gradient.
+/// - `Dense` forward computes y^T = W x^T with the batch in lanes; each
+///   element is still seeded from its bias and summed over inputs
+///   ascending.
 
 #include <cstddef>
+#include <vector>
 
 namespace fmore::ml {
 
@@ -47,19 +67,9 @@ void gemm_acc(std::size_t m, std::size_t n, std::size_t kk,
               const float* b, std::ptrdiff_t b_row,
               float* c, std::ptrdiff_t c_row);
 
-/// `gemm_acc` with the k dimension processed in consecutive groups of
-/// `group` terms: each group is summed in a fresh accumulator that is then
-/// added to the running C value. Matches reference loops that keep a local
-/// per-block accumulator (Conv2d's per-input-channel partial sums).
-/// `group` == 0 or >= kk degenerates to `gemm_acc`.
-void gemm_acc_grouped(std::size_t m, std::size_t n, std::size_t kk,
-                      const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_col,
-                      const float* b, std::ptrdiff_t b_row,
-                      float* c, std::ptrdiff_t c_row, std::size_t group);
-
-/// Geometry of one 2-D convolution (single image). `Conv2d` itself is
-/// stride-1/valid; the stride/pad generality is exercised by the generic
-/// helpers and their tests so future layers can reuse the lowering.
+/// Geometry of one 2-D convolution (single image). `Conv2d` runs only
+/// stride-1/valid; im2col and the forward also accept stride and padding,
+/// which only their tests exercise. The gradient kernels reject both.
 struct ConvShape {
     std::size_t in_c = 1;
     std::size_t h = 0, w = 0;      ///< input spatial dims
@@ -84,14 +94,6 @@ struct ConvShape {
 /// (padding) contribute 0.
 void im2col(const float* x, const ConvShape& s, float* col);
 
-/// Transposed layout: colt[col_cols][col_rows] — the B operand for the
-/// weight-gradient GEMM, where the patch dimension must be unit stride.
-void im2col_t(const float* x, const ConvShape& s, float* colt);
-
-/// Adjoint of im2col: scatter-add col[col_rows][col_cols] back into
-/// gx[in_c][h][w] (gx is accumulated into, not overwritten).
-void col2im_add(const float* col, const ConvShape& s, float* gx);
-
 /// Convolution forward for one image via im2col + grouped GEMM:
 /// y[oc][p] = bias[oc] + sum over the patch of weight[oc][ic][ky][kx] *
 /// x-tap, with a per-input-channel partial accumulator (`group = kh*kw`) so
@@ -100,12 +102,28 @@ void col2im_add(const float* col, const ConvShape& s, float* gx);
 void conv2d_forward_gemm(const float* x, const float* weight, const float* bias,
                          std::size_t out_c, const ConvShape& s, float* col, float* y);
 
-/// Convolution input-gradient for one image, bit-identical to the direct
-/// scatter loops: per (oc, ic) the kernel taps are walked in descending
-/// (ky, kx) order — which is exactly the ascending output-pixel order of
-/// the reference — with a vectorized saxpy over each output row.
-/// Stride-1 only (what Conv2d uses); gx is accumulated into.
-void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
-                       const ConvShape& s, float* gx);
+/// dst[c*rows + r] = src[r*cols + c]: the [rows][cols] matrix transposed.
+void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst);
+
+/// Weight gradient of a batch of `batch` images x[b][in_c][h][w] against
+/// gy[b][out_c][out_h*out_w]: dw[oc][r] += sum over images b ascending, then
+/// output pixels p ascending, of gy[b][oc][p] * im2col(x_b)[r][p] — the
+/// reference loops' chain, seeded from dw. Lanes run over output channels
+/// (see "Lane layouts") and each tap is broadcast straight from x, so no
+/// column matrix is built. Stride-1 and unpadded only (what Conv2d runs);
+/// `scratch` is resized as needed.
+void conv2d_weight_grad(const float* x, const float* gy, std::size_t batch,
+                        std::size_t out_c, const ConvShape& s,
+                        std::vector<float>& scratch, float* dw);
+
+/// Input gradient of a batch, bit-identical to the reference scatter
+/// loops: gx[b][ic][iy][ix] = sum over oc ascending, then kernel taps
+/// (ky, kx) descending, of gy[b][oc][iy-ky][ix-kx] * weight[oc][ic][ky][kx].
+/// Up to 16 images run in lanes, so every (oc, ic, ky, kx, oy) step is one
+/// contiguous saxpy of out_w * lanes floats. Stride-1 and unpadded only
+/// (what Conv2d runs); gx is overwritten; `scratch` is resized as needed.
+void conv2d_input_grad_lanes(const float* gy, const float* weight, std::size_t batch,
+                             std::size_t out_c, const ConvShape& s,
+                             std::vector<float>& scratch, float* gx);
 
 } // namespace fmore::ml

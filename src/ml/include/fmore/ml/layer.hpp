@@ -45,6 +45,17 @@ public:
         grad_input = backward(grad_output);
     }
 
+    /// Parameters-only backward: accumulate this layer's parameter
+    /// gradients from `grad_output` without being asked for the input
+    /// gradient. `Model::backward` calls it for the first layer, whose
+    /// input gradient nothing reads. The default runs `backward_into` with
+    /// `scratch` as the (discarded) input gradient; layers with a costly
+    /// input gradient (Conv2d, Dense) override it to skip that work.
+    /// Parameter gradients are bit-identical to `backward_into`'s.
+    virtual void backward_params(const Tensor& grad_output, Tensor& scratch) {
+        backward_into(grad_output, scratch);
+    }
+
     /// Deep copy (parameters, gradients and caches). The copy still points
     /// at the source's RNG until the owning model re-attaches its own —
     /// `Model::clone()` does; manual callers must `attach_rng` themselves.

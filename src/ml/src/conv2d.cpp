@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fmore/ml/gemm.hpp"
-
 namespace fmore::ml {
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel)
@@ -26,7 +24,7 @@ void Conv2d::initialize(stats::Rng& rng) {
     for (float& b : bias_) b = 0.0F;
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
+void Conv2d::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     if (input.rank() != 4 || input.dim(1) != in_c_)
         throw std::invalid_argument("Conv2d::forward: expected [B, C, H, W] input");
     const std::size_t batch = input.dim(0);
@@ -38,24 +36,19 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
     const std::size_t ow = w - k_ + 1;
     cached_input_ = input;
 
-    Tensor out({batch, out_c_, oh, ow});
+    out.reshape_to({batch, out_c_, oh, ow});
     const float* x = input.data();
     float* y = out.data();
 
     if (!use_naive_kernels()) {
-        ConvShape shape;
-        shape.in_c = in_c_;
-        shape.h = h;
-        shape.w = w;
-        shape.kh = k_;
-        shape.kw = k_;
+        const ConvShape shape = conv_shape(h, w);
         const std::size_t p = oh * ow;
-        col_.resize(shape.col_rows() * p);
+        scratch_.resize(shape.col_rows() * p);
         for (std::size_t b = 0; b < batch; ++b) {
             conv2d_forward_gemm(x + b * in_c_ * h * w, weight_.data(), bias_.data(),
-                                out_c_, shape, col_.data(), y + b * out_c_ * p);
+                                out_c_, shape, scratch_.data(), y + b * out_c_ * p);
         }
-        return out;
+        return;
     }
 
     for (std::size_t b = 0; b < batch; ++b) {
@@ -80,52 +73,72 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
             }
         }
     }
+}
+
+Tensor Conv2d::forward(const Tensor& input, bool training) {
+    Tensor out;
+    forward_into(input, out, training);
     return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
-    const std::size_t batch = cached_input_.dim(0);
-    const std::size_t h = cached_input_.dim(2);
-    const std::size_t w = cached_input_.dim(3);
-    const std::size_t oh = h - k_ + 1;
-    const std::size_t ow = w - k_ + 1;
-    if (grad_output.size() != batch * out_c_ * oh * ow)
-        throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
+ConvShape Conv2d::conv_shape(std::size_t h, std::size_t w) const {
+    ConvShape shape;
+    shape.in_c = in_c_;
+    shape.h = h;
+    shape.w = w;
+    shape.kh = k_;
+    shape.kw = k_;
+    return shape;
+}
 
-    Tensor grad_input(cached_input_.shape());
-    const float* x = cached_input_.data();
+ConvShape Conv2d::backward_shape(const Tensor& grad_output) const {
+    const ConvShape shape = conv_shape(cached_input_.dim(2), cached_input_.dim(3));
+    if (grad_output.size() != cached_input_.dim(0) * out_c_ * shape.col_cols())
+        throw std::invalid_argument("Conv2d::backward: grad shape mismatch");
+    return shape;
+}
+
+void Conv2d::accumulate_param_grads(const Tensor& grad_output, const ConvShape& shape) {
+    const std::size_t batch = cached_input_.dim(0);
+    const std::size_t p = shape.col_cols();
+    const float* gy = grad_output.data();
+    for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t oc = 0; oc < out_c_; ++oc) {
+            const float* row = gy + (b * out_c_ + oc) * p;
+            for (std::size_t i = 0; i < p; ++i) bias_grad_[oc] += row[i];
+        }
+    }
+    conv2d_weight_grad(cached_input_.data(), gy, batch, out_c_, shape, scratch_,
+                       weight_grad_.data());
+}
+
+void Conv2d::backward_params(const Tensor& grad_output, Tensor& scratch) {
+    if (use_naive_kernels()) {
+        backward_into(grad_output, scratch);
+        return;
+    }
+    accumulate_param_grads(grad_output, backward_shape(grad_output));
+}
+
+void Conv2d::backward_into(const Tensor& grad_output, Tensor& grad_input) {
+    const ConvShape shape = backward_shape(grad_output);
+    const std::size_t batch = cached_input_.dim(0);
+    grad_input.reshape_to(cached_input_.shape());
     const float* gy = grad_output.data();
     float* gx = grad_input.data();
 
     if (!use_naive_kernels()) {
-        ConvShape shape;
-        shape.in_c = in_c_;
-        shape.h = h;
-        shape.w = w;
-        shape.kh = k_;
-        shape.kw = k_;
-        const std::size_t p = oh * ow;
-        const std::size_t rows = shape.col_rows();
-        col_.resize(p * rows); // transposed layout for the weight-grad GEMM
-        for (std::size_t b = 0; b < batch; ++b) {
-            const float* gymap = gy + b * out_c_ * p;
-            for (std::size_t oc = 0; oc < out_c_; ++oc) {
-                const float* row = gymap + oc * p;
-                for (std::size_t i = 0; i < p; ++i) bias_grad_[oc] += row[i];
-            }
-            // dW[oc][kk] += sum_p gy[oc][p] * patch[p][kk]; patch-major colT
-            // keeps kk unit-stride for the kernel.
-            im2col_t(x + b * in_c_ * h * w, shape, col_.data());
-            gemm_acc(out_c_, rows, p,
-                     gymap, static_cast<std::ptrdiff_t>(p), 1,
-                     col_.data(), static_cast<std::ptrdiff_t>(rows),
-                     weight_grad_.data(), static_cast<std::ptrdiff_t>(rows));
-            conv2d_input_grad(gymap, weight_.data(), out_c_, shape,
-                              gx + b * in_c_ * h * w);
-        }
-        return grad_input;
+        accumulate_param_grads(grad_output, shape);
+        conv2d_input_grad_lanes(gy, weight_.data(), batch, out_c_, shape, scratch_, gx);
+        return;
     }
 
+    const float* x = cached_input_.data();
+    const std::size_t h = shape.h;
+    const std::size_t w = shape.w;
+    const std::size_t oh = shape.out_h();
+    const std::size_t ow = shape.out_w();
+    grad_input.fill(0.0F);
     for (std::size_t b = 0; b < batch; ++b) {
         for (std::size_t oc = 0; oc < out_c_; ++oc) {
             const float* gymap = gy + ((b * out_c_ + oc) * oh) * ow;
@@ -154,6 +167,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
             }
         }
     }
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+    Tensor grad_input;
+    backward_into(grad_output, grad_input);
     return grad_input;
 }
 

@@ -1,5 +1,6 @@
 #include "fmore/ml/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -24,33 +25,32 @@ void Dense::initialize(stats::Rng& rng) {
     for (float& b : bias_) b = 0.0F;
 }
 
-Tensor Dense::forward(const Tensor& input, bool /*training*/) {
+void Dense::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
     if (input.rank() < 2 || input.size() % in_ != 0)
         throw std::invalid_argument("Dense::forward: input incompatible with in_features");
     const std::size_t batch = input.size() / in_;
     cached_input_ = input;
-    Tensor out({batch, out_});
+    out.reshape_to({batch, out_});
     const float* x = input.data();
     float* y = out.data();
 
     if (!use_naive_kernels()) {
-        // y = bias; y += x * W^T. A one-off transpose of W keeps the GEMM's
-        // vectorized dimension (out) unit-stride in its B operand; it costs
-        // O(in*out) against the O(batch*in*out) multiply.
-        wt_.resize(in_ * out_);
+        // y^T = bias; y^T += W x^T. Transposing the [batch, in] activation
+        // (not the [out, in] weight) puts the batch in the GEMM's unit-stride
+        // lanes while W is read in place as the A operand.
+        scratch_.resize((in_ + out_) * batch);
+        float* xt = scratch_.data();
+        float* yt = xt + in_ * batch;
+        transpose(batch, in_, x, xt);
         for (std::size_t o = 0; o < out_; ++o) {
-            const float* wrow = weight_.data() + o * in_;
-            for (std::size_t i = 0; i < in_; ++i) wt_[i * out_ + o] = wrow[i];
+            std::fill(yt + o * batch, yt + (o + 1) * batch, bias_[o]);
         }
-        for (std::size_t b = 0; b < batch; ++b) {
-            float* yb = y + b * out_;
-            for (std::size_t o = 0; o < out_; ++o) yb[o] = bias_[o];
-        }
-        gemm_acc(batch, out_, in_,
-                 x, static_cast<std::ptrdiff_t>(in_), 1,
-                 wt_.data(), static_cast<std::ptrdiff_t>(out_),
-                 y, static_cast<std::ptrdiff_t>(out_));
-        return out;
+        gemm_acc(out_, batch, in_,
+                 weight_.data(), static_cast<std::ptrdiff_t>(in_), 1,
+                 xt, static_cast<std::ptrdiff_t>(batch),
+                 yt, static_cast<std::ptrdiff_t>(batch));
+        transpose(out_, batch, yt, y);
+        return;
     }
 
     for (std::size_t b = 0; b < batch; ++b) {
@@ -63,36 +63,60 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
             yb[o] = acc;
         }
     }
+}
+
+Tensor Dense::forward(const Tensor& input, bool training) {
+    Tensor out;
+    forward_into(input, out, training);
     return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+std::size_t Dense::backward_batch(const Tensor& grad_output) const {
     const std::size_t batch = cached_input_.size() / in_;
     if (grad_output.size() != batch * out_)
         throw std::invalid_argument("Dense::backward: grad shape mismatch");
-    Tensor grad_input(cached_input_.shape());
+    return batch;
+}
+
+void Dense::accumulate_param_grads(const Tensor& grad_output, std::size_t batch) {
+    const float* gy = grad_output.data();
+    for (std::size_t b = 0; b < batch; ++b) {
+        const float* gyb = gy + b * out_;
+        for (std::size_t o = 0; o < out_; ++o) bias_grad_[o] += gyb[o];
+    }
+    // dW[o][i] += sum_b gy[b][o] * x[b][i]: A indexed transposed via
+    // strides, no materialized copy.
+    gemm_acc(out_, in_, batch,
+             gy, 1, static_cast<std::ptrdiff_t>(out_),
+             cached_input_.data(), static_cast<std::ptrdiff_t>(in_),
+             weight_grad_.data(), static_cast<std::ptrdiff_t>(in_));
+}
+
+void Dense::backward_params(const Tensor& grad_output, Tensor& scratch) {
+    if (use_naive_kernels()) {
+        backward_into(grad_output, scratch);
+        return;
+    }
+    accumulate_param_grads(grad_output, backward_batch(grad_output));
+}
+
+void Dense::backward_into(const Tensor& grad_output, Tensor& grad_input) {
+    const std::size_t batch = backward_batch(grad_output);
+    grad_input.reshape_to(cached_input_.shape());
+    grad_input.fill(0.0F);
     const float* x = cached_input_.data();
     const float* gy = grad_output.data();
     float* gx = grad_input.data();
 
     if (!use_naive_kernels()) {
-        for (std::size_t b = 0; b < batch; ++b) {
-            const float* gyb = gy + b * out_;
-            for (std::size_t o = 0; o < out_; ++o) bias_grad_[o] += gyb[o];
-        }
-        // dW[o][i] += sum_b gy[b][o] * x[b][i]: A indexed transposed via
-        // strides, no materialized copy.
-        gemm_acc(out_, in_, batch,
-                 gy, 1, static_cast<std::ptrdiff_t>(out_),
-                 x, static_cast<std::ptrdiff_t>(in_),
-                 weight_grad_.data(), static_cast<std::ptrdiff_t>(in_));
+        accumulate_param_grads(grad_output, batch);
         // dx = gy * W (W's [out, in] layout is already what the kernel
         // wants: the summed dimension indexes rows).
         gemm_acc(batch, in_, out_,
                  gy, static_cast<std::ptrdiff_t>(out_), 1,
                  weight_.data(), static_cast<std::ptrdiff_t>(in_),
                  gx, static_cast<std::ptrdiff_t>(in_));
-        return grad_input;
+        return;
     }
 
     for (std::size_t b = 0; b < batch; ++b) {
@@ -110,6 +134,11 @@ Tensor Dense::backward(const Tensor& grad_output) {
             }
         }
     }
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+    Tensor grad_input;
+    backward_into(grad_output, grad_input);
     return grad_input;
 }
 

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 // Vectorization hint for the unit-stride j loops. Independent accumulators
 // only — never a reduction — so the hint cannot reassociate any single
@@ -59,143 +61,118 @@ namespace {
 constexpr std::size_t kNR = 16;
 /// Register-block height along i.
 constexpr std::size_t kMR = 4;
+/// Images per lane block of `conv2d_input_grad_lanes`.
+constexpr std::size_t kConvLanes = 16;
 
 using diff = std::ptrdiff_t;
 
-/// Scalar reference element: seed + sum_k a[k]*b[k], ascending k.
-inline float dot_from(float seed, const float* a, diff a_col, const float* b,
-                      diff b_row, std::size_t kk) {
-    float acc = seed;
-    for (std::size_t k = 0; k < kk; ++k) {
-        acc += a[static_cast<diff>(k) * a_col] * b[static_cast<diff>(k) * b_row];
+template <std::size_t N>
+using width = std::integral_constant<std::size_t, N>;
+
+/// Walk [0, n) in register tiles: full kNR-wide tiles, then at most one
+/// 8-, one 4- and one 3/2/1-wide tail, calling `tile(width<NR>{}, j)`.
+template <typename Tile>
+inline void for_each_j_tile(std::size_t n, Tile&& tile) {
+    std::size_t j = 0;
+    for (; j + kNR <= n; j += kNR) tile(width<kNR>{}, j);
+    if (j + 8 <= n) {
+        tile(width<8>{}, j);
+        j += 8;
     }
-    return acc;
+    if (j + 4 <= n) {
+        tile(width<4>{}, j);
+        j += 4;
+    }
+    switch (n - j) {
+    case 3: tile(width<3>{}, j); break;
+    case 2: tile(width<2>{}, j); break;
+    case 1: tile(width<1>{}, j); break;
+    default: break;
+    }
 }
 
-/// Scalar grouped element: seed + sum over groups of (fresh per-group sum).
-inline float dot_from_grouped(float seed, const float* a, diff a_col, const float* b,
-                              diff b_row, std::size_t kk, std::size_t group) {
-    float acc = seed;
-    for (std::size_t k0 = 0; k0 < kk; k0 += group) {
-        const std::size_t kend = std::min(kk, k0 + group);
-        float part = 0.0F;
-        for (std::size_t k = k0; k < kend; ++k) {
-            part += a[static_cast<diff>(k) * a_col] * b[static_cast<diff>(k) * b_row];
-        }
-        acc += part;
+/// Cover the m x n output with register tiles: kMR-row blocks, then one
+/// 3/2/1-row tail block, each walked by `for_each_j_tile`, calling
+/// `tile(width<MR>{}, width<NR>{}, i, j)`. Every tile shape runs the same
+/// per-element chain, so the tiling never changes a result; the narrow
+/// edges keep their rows and columns interleaved instead of falling back
+/// to serial per-element dot products.
+template <typename Tile>
+inline void for_each_tile(std::size_t m, std::size_t n, Tile&& tile) {
+    std::size_t i = 0;
+    const auto rows = [&](auto mr) {
+        for_each_j_tile(n, [&](auto nr, std::size_t j) { tile(mr, nr, i, j); });
+    };
+    for (; i + kMR <= m; i += kMR) rows(width<kMR>{});
+    switch (m - i) {
+    case 3: rows(width<3>{}); break;
+    case 2: rows(width<2>{}); break;
+    case 1: rows(width<1>{}); break;
+    default: break;
     }
-    return acc;
 }
 
-/// One kMR x NR register tile of gemm_acc (NR = 16, 8 or 4). Four rows in
-/// flight keep enough independent FMA chains to hide latency even when the
-/// j extent is narrow (e.g. conv weight-gradients, where n = kh*kw).
-template <std::size_t NR>
-inline void tile_mr_w(std::size_t kk, const float* a, diff a_row, diff a_col,
-                      const float* b, diff b_row, float* c, diff c_row) {
-    float acc[kMR][NR];
-    for (std::size_t r = 0; r < kMR; ++r) {
+/// One MR x NR register tile of gemm_acc: C += A B over the whole k range,
+/// each element a running sum seeded from C. Up to four rows in flight keep
+/// enough independent chains to hide latency even when the j extent is
+/// narrow.
+template <std::size_t MR, std::size_t NR>
+inline void tile_acc(std::size_t kk, const float* a, diff a_row, diff a_col,
+                     const float* b, diff b_row, float* c, diff c_row) {
+    float acc[MR][NR];
+    for (std::size_t r = 0; r < MR; ++r) {
         const float* crow = c + static_cast<diff>(r) * c_row;
         FMORE_SIMD
         for (std::size_t jj = 0; jj < NR; ++jj) acc[r][jj] = crow[jj];
     }
-    for (std::size_t k = 0; k < kk; ++k) {
-        const float* brow = b + static_cast<diff>(k) * b_row;
-        const float a0 = a[static_cast<diff>(k) * a_col];
-        const float a1 = a[a_row + static_cast<diff>(k) * a_col];
-        const float a2 = a[2 * a_row + static_cast<diff>(k) * a_col];
-        const float a3 = a[3 * a_row + static_cast<diff>(k) * a_col];
+    // Walking pointers, not k * stride indexing: with indexing, GCC spills
+    // the accumulators to the stack.
+    const float* ak = a;
+    const float* brow = b;
+    for (std::size_t k = 0; k < kk; ++k, ak += a_col, brow += b_row) {
+        float av[MR];
+        for (std::size_t r = 0; r < MR; ++r) av[r] = ak[static_cast<diff>(r) * a_row];
         FMORE_SIMD
         for (std::size_t jj = 0; jj < NR; ++jj) {
             const float bv = brow[jj];
-            acc[0][jj] += a0 * bv;
-            acc[1][jj] += a1 * bv;
-            acc[2][jj] += a2 * bv;
-            acc[3][jj] += a3 * bv;
+            for (std::size_t r = 0; r < MR; ++r) acc[r][jj] += av[r] * bv;
         }
     }
-    for (std::size_t r = 0; r < kMR; ++r) {
+    for (std::size_t r = 0; r < MR; ++r) {
         float* crow = c + static_cast<diff>(r) * c_row;
         FMORE_SIMD
         for (std::size_t jj = 0; jj < NR; ++jj) crow[jj] = acc[r][jj];
     }
 }
 
-/// One 1 x NR tile of gemm_acc (i-edge rows and j-tails; NR = 16, 8 or 4).
-template <std::size_t NR>
-inline void tile_1_w(std::size_t kk, const float* a, diff a_col, const float* b,
-                     diff b_row, float* c) {
-    float acc[NR];
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) acc[jj] = c[jj];
-    for (std::size_t k = 0; k < kk; ++k) {
-        const float* brow = b + static_cast<diff>(k) * b_row;
-        const float av = a[static_cast<diff>(k) * a_col];
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) acc[jj] += av * brow[jj];
-    }
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) c[jj] = acc[jj];
-}
-
-/// One 1 x NR tile of gemm_acc_grouped (NR = 16, 8 or 4).
-template <std::size_t NR>
-inline void tile_1_w_grouped(std::size_t kk, const float* a, diff a_col,
-                             const float* b, diff b_row, float* c,
-                             std::size_t group) {
-    float acc[NR];
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) acc[jj] = c[jj];
-    for (std::size_t k0 = 0; k0 < kk; k0 += group) {
-        const std::size_t kend = std::min(kk, k0 + group);
-        float part[NR];
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) part[jj] = 0.0F;
-        for (std::size_t k = k0; k < kend; ++k) {
-            const float* brow = b + static_cast<diff>(k) * b_row;
-            const float av = a[static_cast<diff>(k) * a_col];
-            FMORE_SIMD
-            for (std::size_t jj = 0; jj < NR; ++jj) part[jj] += av * brow[jj];
-        }
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) acc[jj] += part[jj];
-    }
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) c[jj] = acc[jj];
-}
-
 // --- "part" tiles: the per-group unit of the bias-seeded grouped GEMM. ---
 // Each tile sums its K-slice in fresh registers, then stores either
 // `bias + part` (First slice — matches `y = bias; y += group_sum`) or
 // `c + part` (later slices). The full kMR x kNR register blocking applies,
-// which the running-accumulator grouped tile cannot afford (it would need
-// twice the accumulator registers).
+// which a running accumulator beside the per-group one could not afford (it
+// would need twice the accumulator registers).
 
-template <std::size_t NR, bool First>
-inline void tile_mr_w_part(std::size_t kk, const float* a, diff a_row, diff a_col,
-                           const float* b, diff b_row, float* c, diff c_row,
-                           const float* bias) {
-    float part[kMR][NR];
+template <std::size_t MR, std::size_t NR, bool First>
+inline void tile_part(std::size_t kk, const float* a, diff a_row, diff a_col,
+                      const float* b, diff b_row, float* c, diff c_row,
+                      const float* bias) {
+    float part[MR][NR];
     for (auto& row : part) {
         FMORE_SIMD
         for (std::size_t jj = 0; jj < NR; ++jj) row[jj] = 0.0F;
     }
-    for (std::size_t k = 0; k < kk; ++k) {
-        const float* brow = b + static_cast<diff>(k) * b_row;
-        const float a0 = a[static_cast<diff>(k) * a_col];
-        const float a1 = a[a_row + static_cast<diff>(k) * a_col];
-        const float a2 = a[2 * a_row + static_cast<diff>(k) * a_col];
-        const float a3 = a[3 * a_row + static_cast<diff>(k) * a_col];
+    const float* ak = a;
+    const float* brow = b;
+    for (std::size_t k = 0; k < kk; ++k, ak += a_col, brow += b_row) {
+        float av[MR];
+        for (std::size_t r = 0; r < MR; ++r) av[r] = ak[static_cast<diff>(r) * a_row];
         FMORE_SIMD
         for (std::size_t jj = 0; jj < NR; ++jj) {
             const float bv = brow[jj];
-            part[0][jj] += a0 * bv;
-            part[1][jj] += a1 * bv;
-            part[2][jj] += a2 * bv;
-            part[3][jj] += a3 * bv;
+            for (std::size_t r = 0; r < MR; ++r) part[r][jj] += av[r] * bv;
         }
     }
-    for (std::size_t r = 0; r < kMR; ++r) {
+    for (std::size_t r = 0; r < MR; ++r) {
         float* crow = c + static_cast<diff>(r) * c_row;
         const float seed = First ? bias[r] : 0.0F;
         FMORE_SIMD
@@ -205,77 +182,59 @@ inline void tile_mr_w_part(std::size_t kk, const float* a, diff a_row, diff a_co
     }
 }
 
-template <std::size_t NR, bool First>
-inline void tile_1_w_part(std::size_t kk, const float* a, diff a_col, const float* b,
-                          diff b_row, float* c, float bias) {
-    float part[NR];
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) part[jj] = 0.0F;
-    for (std::size_t k = 0; k < kk; ++k) {
-        const float* brow = b + static_cast<diff>(k) * b_row;
-        const float av = a[static_cast<diff>(k) * a_col];
-        FMORE_SIMD
-        for (std::size_t jj = 0; jj < NR; ++jj) part[jj] += av * brow[jj];
-    }
-    FMORE_SIMD
-    for (std::size_t jj = 0; jj < NR; ++jj) {
-        c[jj] = (First ? bias : c[jj]) + part[jj];
-    }
-}
-
 /// One m x n pass over a K-slice of the bias-seeded grouped GEMM.
 template <bool First>
 void gemm_part_pass(std::size_t m, std::size_t n, std::size_t kk,
                     const float* a, diff a_row, diff a_col,
                     const float* b, diff b_row,
                     float* c, diff c_row, const float* bias) {
-    std::size_t i = 0;
-    for (; i + kMR <= m; i += kMR) {
-        const float* arow = a + static_cast<diff>(i) * a_row;
-        float* crow = c + static_cast<diff>(i) * c_row;
-        std::size_t j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            tile_mr_w_part<kNR, First>(kk, arow, a_row, a_col, b + j, b_row, crow + j,
-                                       c_row, bias + i);
-        }
-        if (j + 8 <= n) {
-            tile_mr_w_part<8, First>(kk, arow, a_row, a_col, b + j, b_row, crow + j,
-                                     c_row, bias + i);
-            j += 8;
-        }
-        if (j + 4 <= n) {
-            tile_mr_w_part<4, First>(kk, arow, a_row, a_col, b + j, b_row, crow + j,
-                                     c_row, bias + i);
-            j += 4;
-        }
-        for (; j < n; ++j) {
-            for (std::size_t r = 0; r < kMR; ++r) {
-                float* cel = crow + static_cast<diff>(r) * c_row + j;
-                *cel = (First ? bias[i + r] : *cel)
-                       + dot_from(0.0F, arow + static_cast<diff>(r) * a_row, a_col,
-                                  b + j, b_row, kk);
+    for_each_tile(m, n, [&](auto mr, auto nr, std::size_t i, std::size_t j) {
+        tile_part<decltype(mr)::value, decltype(nr)::value, First>(
+            kk, a + static_cast<diff>(i) * a_row, a_row, a_col, b + j, b_row,
+            c + static_cast<diff>(i) * c_row + static_cast<diff>(j), c_row, bias + i);
+    });
+}
+
+inline bool is_unpadded_stride1(const ConvShape& s) {
+    return s.stride_h == 1 && s.stride_w == 1 && s.pad_h == 0 && s.pad_w == 0;
+}
+
+/// One MR x NR tile of the convolution weight gradient with output
+/// channels in lanes: dwt[r][oc] += sum over output pixels p = (oy, ox)
+/// ascending of tap_r(p) * gyt[p][oc], rows r = i0.. of the [rows][oc]
+/// gradient. Row r = (ic, ky, kx) broadcasts its taps straight from the
+/// image, x[ic][oy+ky][ox+kx] (stride 1, unpadded) — no column matrix.
+template <std::size_t MR, std::size_t NR>
+inline void tile_taps(const float* x, const ConvShape& s, std::size_t i0,
+                      const float* gyt, std::size_t out_c, float* dwt) {
+    const std::size_t oh = s.out_h();
+    const std::size_t ow = s.out_w();
+    const std::size_t taps = s.kh * s.kw;
+    std::size_t off[MR];
+    float acc[MR][NR];
+    for (std::size_t r = 0; r < MR; ++r) {
+        const std::size_t row = i0 + r;
+        const std::size_t t = row % taps;
+        off[r] = ((row / taps) * s.h + t / s.kw) * s.w + t % s.kw;
+        FMORE_SIMD
+        for (std::size_t jj = 0; jj < NR; ++jj) acc[r][jj] = dwt[r * out_c + jj];
+    }
+    const float* g = gyt;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+        const float* xp = x + oy * s.w;
+        for (std::size_t ox = 0; ox < ow; ++ox, ++xp, g += out_c) {
+            float av[MR];
+            for (std::size_t r = 0; r < MR; ++r) av[r] = xp[off[r]];
+            FMORE_SIMD
+            for (std::size_t jj = 0; jj < NR; ++jj) {
+                const float gv = g[jj];
+                for (std::size_t r = 0; r < MR; ++r) acc[r][jj] += av[r] * gv;
             }
         }
     }
-    for (; i < m; ++i) {
-        const float* arow = a + static_cast<diff>(i) * a_row;
-        float* crow = c + static_cast<diff>(i) * c_row;
-        std::size_t j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            tile_1_w_part<kNR, First>(kk, arow, a_col, b + j, b_row, crow + j, bias[i]);
-        }
-        if (j + 8 <= n) {
-            tile_1_w_part<8, First>(kk, arow, a_col, b + j, b_row, crow + j, bias[i]);
-            j += 8;
-        }
-        if (j + 4 <= n) {
-            tile_1_w_part<4, First>(kk, arow, a_col, b + j, b_row, crow + j, bias[i]);
-            j += 4;
-        }
-        for (; j < n; ++j) {
-            crow[j] = (First ? bias[i] : crow[j])
-                      + dot_from(0.0F, arow, a_col, b + j, b_row, kk);
-        }
+    for (std::size_t r = 0; r < MR; ++r) {
+        FMORE_SIMD
+        for (std::size_t jj = 0; jj < NR; ++jj) dwt[r * out_c + jj] = acc[r][jj];
     }
 }
 
@@ -285,70 +244,11 @@ void gemm_acc(std::size_t m, std::size_t n, std::size_t kk,
               const float* a, diff a_row, diff a_col,
               const float* b, diff b_row,
               float* c, diff c_row) {
-    std::size_t i = 0;
-    for (; i + kMR <= m; i += kMR) {
-        const float* arow = a + static_cast<diff>(i) * a_row;
-        float* crow = c + static_cast<diff>(i) * c_row;
-        std::size_t j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            tile_mr_w<kNR>(kk, arow, a_row, a_col, b + j, b_row, crow + j, c_row);
-        }
-        if (j + 8 <= n) {
-            tile_mr_w<8>(kk, arow, a_row, a_col, b + j, b_row, crow + j, c_row);
-            j += 8;
-        }
-        if (j + 4 <= n) {
-            tile_mr_w<4>(kk, arow, a_row, a_col, b + j, b_row, crow + j, c_row);
-            j += 4;
-        }
-        for (; j < n; ++j) {
-            for (std::size_t r = 0; r < kMR; ++r) {
-                float* cel = crow + static_cast<diff>(r) * c_row + j;
-                *cel = dot_from(*cel, arow + static_cast<diff>(r) * a_row, a_col,
-                                b + j, b_row, kk);
-            }
-        }
-    }
-    for (; i < m; ++i) {
-        const float* arow = a + static_cast<diff>(i) * a_row;
-        float* crow = c + static_cast<diff>(i) * c_row;
-        std::size_t j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            tile_1_w<kNR>(kk, arow, a_col, b + j, b_row, crow + j);
-        }
-        if (j + 8 <= n) {
-            tile_1_w<8>(kk, arow, a_col, b + j, b_row, crow + j);
-            j += 8;
-        }
-        if (j + 4 <= n) {
-            tile_1_w<4>(kk, arow, a_col, b + j, b_row, crow + j);
-            j += 4;
-        }
-        for (; j < n; ++j) {
-            crow[j] = dot_from(crow[j], arow, a_col, b + j, b_row, kk);
-        }
-    }
-}
-
-void gemm_acc_grouped(std::size_t m, std::size_t n, std::size_t kk,
-                      const float* a, diff a_row, diff a_col,
-                      const float* b, diff b_row,
-                      float* c, diff c_row, std::size_t group) {
-    if (group == 0 || group >= kk) {
-        gemm_acc(m, n, kk, a, a_row, a_col, b, b_row, c, c_row);
-        return;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-        const float* arow = a + static_cast<diff>(i) * a_row;
-        float* crow = c + static_cast<diff>(i) * c_row;
-        std::size_t j = 0;
-        for (; j + kNR <= n; j += kNR) {
-            tile_1_w_grouped<kNR>(kk, arow, a_col, b + j, b_row, crow + j, group);
-        }
-        for (; j < n; ++j) {
-            crow[j] = dot_from_grouped(crow[j], arow, a_col, b + j, b_row, kk, group);
-        }
-    }
+    for_each_tile(m, n, [&](auto mr, auto nr, std::size_t i, std::size_t j) {
+        tile_acc<decltype(mr)::value, decltype(nr)::value>(
+            kk, a + static_cast<diff>(i) * a_row, a_row, a_col, b + j, b_row,
+            c + static_cast<diff>(i) * c_row + static_cast<diff>(j), c_row);
+    });
 }
 
 /// Bias-seeded grouped GEMM: C = bias (broadcast per row) + per-group
@@ -376,7 +276,7 @@ static void gemm_bias_grouped(std::size_t m, std::size_t n, std::size_t kk,
 }
 
 // ---------------------------------------------------------------------------
-// im2col / col2im
+// im2col
 // ---------------------------------------------------------------------------
 
 void im2col(const float* x, const ConvShape& s, float* col) {
@@ -435,83 +335,6 @@ void im2col(const float* x, const ConvShape& s, float* col) {
     }
 }
 
-void im2col_t(const float* x, const ConvShape& s, float* colt) {
-    const std::size_t oh = s.out_h();
-    const std::size_t ow = s.out_w();
-    const std::size_t rows = s.col_rows();
-    std::size_t row = 0;
-    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-        const float* xmap = x + ic * s.h * s.w;
-        for (std::size_t ky = 0; ky < s.kh; ++ky) {
-            for (std::size_t kx = 0; kx < s.kw; ++kx, ++row) {
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    const diff iy = static_cast<diff>(oy * s.stride_h + ky)
-                                    - static_cast<diff>(s.pad_h);
-                    const bool valid_row = iy >= 0 && iy < static_cast<diff>(s.h);
-                    const float* xrow =
-                        valid_row ? xmap + static_cast<std::size_t>(iy) * s.w : nullptr;
-                    float* orow = colt + oy * ow * rows + row;
-                    if (valid_row && s.stride_w == 1) {
-                        // Branch-free middle span (strided stores; the
-                        // source is contiguous).
-                        const diff shift =
-                            static_cast<diff>(kx) - static_cast<diff>(s.pad_w);
-                        const std::size_t lo = std::min<std::size_t>(
-                            ow, shift < 0 ? static_cast<std::size_t>(-shift) : 0);
-                        const std::size_t hi = std::max<std::size_t>(
-                            lo, std::min<std::size_t>(
-                                    ow, static_cast<std::size_t>(std::max<diff>(
-                                            0, static_cast<diff>(s.w) - shift))));
-                        for (std::size_t ox = 0; ox < lo; ++ox) orow[ox * rows] = 0.0F;
-                        const float* src = xrow + static_cast<std::size_t>(
-                                               static_cast<diff>(lo) + shift);
-                        for (std::size_t t = 0; t < hi - lo; ++t) {
-                            orow[(lo + t) * rows] = src[t];
-                        }
-                        for (std::size_t ox = hi; ox < ow; ++ox) orow[ox * rows] = 0.0F;
-                        continue;
-                    }
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const diff ix = static_cast<diff>(ox * s.stride_w + kx)
-                                        - static_cast<diff>(s.pad_w);
-                        const bool valid =
-                            valid_row && ix >= 0 && ix < static_cast<diff>(s.w);
-                        orow[ox * rows] =
-                            valid ? xrow[static_cast<std::size_t>(ix)] : 0.0F;
-                    }
-                }
-            }
-        }
-    }
-}
-
-void col2im_add(const float* col, const ConvShape& s, float* gx) {
-    const std::size_t oh = s.out_h();
-    const std::size_t ow = s.out_w();
-    const float* in = col;
-    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-        float* gxmap = gx + ic * s.h * s.w;
-        for (std::size_t ky = 0; ky < s.kh; ++ky) {
-            for (std::size_t kx = 0; kx < s.kw; ++kx) {
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    const diff iy = static_cast<diff>(oy * s.stride_h + ky)
-                                    - static_cast<diff>(s.pad_h);
-                    if (iy < 0 || iy >= static_cast<diff>(s.h)) continue;
-                    float* gxrow = gxmap + static_cast<std::size_t>(iy) * s.w;
-                    const float* irow = in + oy * ow;
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const diff ix = static_cast<diff>(ox * s.stride_w + kx)
-                                        - static_cast<diff>(s.pad_w);
-                        if (ix < 0 || ix >= static_cast<diff>(s.w)) continue;
-                        gxrow[static_cast<std::size_t>(ix)] += irow[ox];
-                    }
-                }
-                in += oh * ow;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Convolution on top of the kernels
 // ---------------------------------------------------------------------------
@@ -527,71 +350,80 @@ void conv2d_forward_gemm(const float* x, const float* weight, const float* bias,
                       y, static_cast<diff>(cols), s.kh * s.kw, bias);
 }
 
-void conv2d_input_grad(const float* gy, const float* weight, std::size_t out_c,
-                       const ConvShape& s, float* gx) {
+void transpose(std::size_t rows, std::size_t cols, const float* src, float* dst) {
+    // 8 x 8 blocks keep both the read and the write side within a few
+    // cache lines, whatever the matrix shape.
+    constexpr std::size_t kBlock = 8;
+    for (std::size_t r0 = 0; r0 < rows; r0 += kBlock) {
+        const std::size_t r1 = std::min(rows, r0 + kBlock);
+        for (std::size_t c0 = 0; c0 < cols; c0 += kBlock) {
+            const std::size_t c1 = std::min(cols, c0 + kBlock);
+            for (std::size_t r = r0; r < r1; ++r) {
+                for (std::size_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+            }
+        }
+    }
+}
+
+void conv2d_weight_grad(const float* x, const float* gy, std::size_t batch,
+                        std::size_t out_c, const ConvShape& s,
+                        std::vector<float>& scratch, float* dw) {
+    if (!is_unpadded_stride1(s))
+        throw std::invalid_argument("conv2d_weight_grad: stride-1, unpadded only");
+    const std::size_t rows = s.col_rows();
+    const std::size_t p = s.col_cols();
+    scratch.resize(rows * out_c + p * out_c);
+    float* dwt = scratch.data();      // [rows][out_c]
+    float* gyt = dwt + rows * out_c;  // [p][out_c]
+    transpose(out_c, rows, dw, dwt);
+    for (std::size_t b = 0; b < batch; ++b) {
+        const float* xb = x + b * s.in_c * s.h * s.w;
+        transpose(out_c, p, gy + b * out_c * p, gyt);
+        for_each_tile(rows, out_c, [&](auto mr, auto nr, std::size_t i, std::size_t j) {
+            tile_taps<decltype(mr)::value, decltype(nr)::value>(xb, s, i, gyt + j, out_c,
+                                                                dwt + i * out_c + j);
+        });
+    }
+    transpose(rows, out_c, dwt, dw);
+}
+
+void conv2d_input_grad_lanes(const float* gy, const float* weight, std::size_t batch,
+                             std::size_t out_c, const ConvShape& s,
+                             std::vector<float>& scratch, float* gx) {
     const std::size_t oh = s.out_h();
     const std::size_t ow = s.out_w();
-    if (s.pad_h == 0 && s.pad_w == 0) {
-        // Unpadded fast path (what Conv2d runs): every tap's span is the
-        // full output row, so all bounds math hoists out of the loops.
+    const std::size_t p = oh * ow;
+    const std::size_t hw = s.h * s.w;
+    if (!is_unpadded_stride1(s))
+        throw std::invalid_argument("conv2d_input_grad_lanes: stride-1, unpadded only");
+    scratch.resize((out_c * p + s.in_c * hw) * kConvLanes);
+    for (std::size_t b0 = 0; b0 < batch; b0 += kConvLanes) {
+        const std::size_t lanes = std::min(kConvLanes, batch - b0);
+        float* gyl = scratch.data();         // [oc][p][lane]
+        float* gxl = gyl + out_c * p * lanes; // [ic][h*w][lane]
+        transpose(lanes, out_c * p, gy + b0 * out_c * p, gyl);
+        std::fill(gxl, gxl + s.in_c * hw * lanes, 0.0F);
+        const std::size_t span = ow * lanes;
         for (std::size_t oc = 0; oc < out_c; ++oc) {
-            const float* gymap = gy + oc * oh * ow;
             for (std::size_t ic = 0; ic < s.in_c; ++ic) {
                 const float* ker = weight + (oc * s.in_c + ic) * s.kh * s.kw;
-                float* gxmap = gx + ic * s.h * s.w;
+                float* gxmap = gxl + ic * hw * lanes;
+                // Descending (ky, kx) is the reference loops' ascending
+                // output-pixel order per input pixel.
                 for (std::size_t ky = s.kh; ky-- > 0;) {
                     for (std::size_t kx = s.kw; kx-- > 0;) {
                         const float wv = ker[ky * s.kw + kx];
                         for (std::size_t oy = 0; oy < oh; ++oy) {
-                            float* gxrow = gxmap + (oy + ky) * s.w + kx;
-                            const float* gyrow = gymap + oy * ow;
+                            float* dst = gxmap + ((oy + ky) * s.w + kx) * lanes;
+                            const float* src = gyl + (oc * p + oy * ow) * lanes;
                             FMORE_SIMD
-                            for (std::size_t t = 0; t < ow; ++t) {
-                                gxrow[t] += gyrow[t] * wv;
-                            }
+                            for (std::size_t t = 0; t < span; ++t) dst[t] += src[t] * wv;
                         }
                     }
                 }
             }
         }
-        return;
-    }
-    for (std::size_t oc = 0; oc < out_c; ++oc) {
-        const float* gymap = gy + oc * oh * ow;
-        for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-            const float* ker = weight + (oc * s.in_c + ic) * s.kh * s.kw;
-            float* gxmap = gx + ic * s.h * s.w;
-            // Descending (ky, kx) is the reference loops' ascending
-            // output-pixel order per input pixel — see the header note.
-            for (std::size_t ky = s.kh; ky-- > 0;) {
-                for (std::size_t kx = s.kw; kx-- > 0;) {
-                    const float wv = ker[ky * s.kw + kx];
-                    for (std::size_t oy = 0; oy < oh; ++oy) {
-                        const diff iy = static_cast<diff>(oy + ky)
-                                        - static_cast<diff>(s.pad_h);
-                        if (iy < 0 || iy >= static_cast<diff>(s.h)) continue;
-                        // Valid ox range: ix = ox + kx - pad_w in [0, w).
-                        const diff shift =
-                            static_cast<diff>(kx) - static_cast<diff>(s.pad_w);
-                        const std::size_t ox_lo =
-                            shift < 0 ? static_cast<std::size_t>(-shift) : 0;
-                        const std::size_t ox_hi = std::min<std::size_t>(
-                            ow, static_cast<std::size_t>(std::max<diff>(
-                                    0, static_cast<diff>(s.w) - shift)));
-                        if (ox_lo >= ox_hi) continue;
-                        float* gxrow = gxmap + static_cast<std::size_t>(iy) * s.w
-                                       + static_cast<std::size_t>(
-                                           static_cast<diff>(ox_lo) + shift);
-                        const float* gyrow = gymap + oy * ow + ox_lo;
-                        const std::size_t span = ox_hi - ox_lo;
-                        FMORE_SIMD
-                        for (std::size_t t = 0; t < span; ++t) {
-                            gxrow[t] += gyrow[t] * wv;
-                        }
-                    }
-                }
-            }
-        }
+        transpose(s.in_c * hw, lanes, gxl, gx + b0 * s.in_c * hw);
     }
 }
 

@@ -56,15 +56,9 @@ Tensor Lstm::forward(const Tensor& input, bool /*training*/) {
         // Gate matmuls run once per timestep over the whole batch; the
         // transposes put the 4H gate dimension unit-stride for the kernel.
         wt_.resize(input_ * h4);
-        for (std::size_t r = 0; r < h4; ++r) {
-            const float* wrow = w_.data() + r * input_;
-            for (std::size_t e = 0; e < input_; ++e) wt_[e * h4 + r] = wrow[e];
-        }
+        transpose(h4, input_, w_.data(), wt_.data());
         ut_.resize(hidden_ * h4);
-        for (std::size_t r = 0; r < h4; ++r) {
-            const float* urow = u_.data() + r * hidden_;
-            for (std::size_t hh = 0; hh < hidden_; ++hh) ut_[hh * h4 + r] = urow[hh];
-        }
+        transpose(h4, hidden_, u_.data(), ut_.data());
     }
 
     const float* x = input.data();

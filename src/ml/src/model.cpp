@@ -65,12 +65,15 @@ const Tensor& Model::forward(const Tensor& input, bool training) {
 }
 
 void Model::backward(const Tensor& grad_loss) {
+    if (layers_.empty()) return;
     grads_.resize(layers_.size());
     const Tensor* current = &grad_loss;
-    for (std::size_t i = layers_.size(); i-- > 0;) {
+    for (std::size_t i = layers_.size(); i-- > 1;) {
         layers_[i]->backward_into(*current, grads_[i]);
         current = &grads_[i];
     }
+    // Nothing reads the gradient w.r.t. the model input.
+    layers_[0]->backward_params(*current, grads_[0]);
 }
 
 std::vector<ParamBlock> Model::all_parameters() {

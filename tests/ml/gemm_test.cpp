@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -54,6 +57,82 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b,
     }
 }
 
+/// Stricter than expect_close: equal bit patterns, so even the sign of a
+/// zero must agree.
+void expect_bit_identical(const std::vector<float>& a, const std::vector<float>& b,
+                          const std::string& what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]), std::bit_cast<std::uint32_t>(b[i]))
+            << what << " element " << i << ": " << a[i] << " vs " << b[i];
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Test-side lowering helpers. No layer runs these; they live here so the
+// suites below keep checking the production kernels they are built from.
+// ---------------------------------------------------------------------------
+
+/// gemm_acc with K split into consecutive groups of `group` terms, each
+/// summed in a fresh accumulator that is then added to C. Composed from
+/// gemm_acc calls on K-slices, so it checks that slicing K through the
+/// production kernel keeps every chain intact.
+void gemm_acc_grouped(std::size_t m, std::size_t n, std::size_t kk, const float* a,
+                      std::ptrdiff_t a_row, std::ptrdiff_t a_col, const float* b,
+                      std::ptrdiff_t b_row, float* c, std::ptrdiff_t c_row,
+                      std::size_t group) {
+    if (group == 0) group = kk;
+    std::vector<float> part(m * n);
+    for (std::size_t k0 = 0; k0 < kk; k0 += group) {
+        const std::size_t ks = std::min(group, kk - k0);
+        std::fill(part.begin(), part.end(), 0.0F);
+        gemm_acc(m, n, ks, a + static_cast<std::ptrdiff_t>(k0) * a_col, a_row, a_col,
+                 b + static_cast<std::ptrdiff_t>(k0) * b_row, b_row, part.data(),
+                 static_cast<std::ptrdiff_t>(n));
+        for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                c[static_cast<std::ptrdiff_t>(i) * c_row + static_cast<std::ptrdiff_t>(j)] +=
+                    part[i * n + j];
+            }
+        }
+    }
+}
+
+/// The column matrix transposed, colt[col_cols][col_rows], via im2col.
+void im2col_t(const float* x, const ConvShape& s, float* colt) {
+    std::vector<float> col(s.col_rows() * s.col_cols());
+    im2col(x, s, col.data());
+    transpose(s.col_rows(), s.col_cols(), col.data(), colt);
+}
+
+/// Adjoint of im2col, textbook scatter: col[col_rows][col_cols] is added
+/// back into gx[in_c][h][w]; out-of-bounds (padding) taps are dropped.
+void col2im_add(const float* col, const ConvShape& s, float* gx) {
+    const std::size_t oh = s.out_h();
+    const std::size_t ow = s.out_w();
+    std::size_t row = 0;
+    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
+        for (std::size_t ky = 0; ky < s.kh; ++ky) {
+            for (std::size_t kx = 0; kx < s.kw; ++kx, ++row) {
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        const auto iy = static_cast<std::ptrdiff_t>(oy * s.stride_h + ky)
+                                        - static_cast<std::ptrdiff_t>(s.pad_h);
+                        const auto ix = static_cast<std::ptrdiff_t>(ox * s.stride_w + kx)
+                                        - static_cast<std::ptrdiff_t>(s.pad_w);
+                        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(s.h) || ix < 0
+                            || ix >= static_cast<std::ptrdiff_t>(s.w)) {
+                            continue;
+                        }
+                        gx[(ic * s.h + static_cast<std::size_t>(iy)) * s.w
+                           + static_cast<std::size_t>(ix)] += col[row * oh * ow + oy * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Raw kernel vs scalar reference
 // ---------------------------------------------------------------------------
@@ -88,6 +167,36 @@ TEST(GemmKernelTest, MatchesScalarReferenceOnRandomShapes) {
         expect_close(c_fast, c_ref,
                      "gemm " + std::to_string(m) + "x" + std::to_string(n) + "x"
                          + std::to_string(k));
+    }
+}
+
+TEST(GemmKernelTest, EveryEdgeTileShapeMatchesScalarReference) {
+    // m = 1..9 and n = 1..37 reach every register-tile shape: 4/3/2/1 rows
+    // against 16/8/4/3/2/1 lanes, alone and behind full tiles.
+    stats::Rng rng(36);
+    const std::size_t k = 7;
+    for (std::size_t m = 1; m <= 9; ++m) {
+        for (std::size_t n = 1; n <= 37; ++n) {
+            std::vector<float> a(m * k);
+            std::vector<float> b(k * n);
+            std::vector<float> c_ref(m * n);
+            for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+            for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+            for (float& v : c_ref) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+            std::vector<float> c_fast = c_ref;
+            for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    float acc = c_ref[i * n + j];
+                    for (std::size_t kk = 0; kk < k; ++kk) acc += a[i * k + kk] * b[kk * n + j];
+                    c_ref[i * n + j] = acc;
+                }
+            }
+            gemm_acc(m, n, k, a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(),
+                     static_cast<std::ptrdiff_t>(n), c_fast.data(),
+                     static_cast<std::ptrdiff_t>(n));
+            expect_bit_identical(c_fast, c_ref,
+                                 "gemm " + std::to_string(m) + "x" + std::to_string(n));
+        }
     }
 }
 
@@ -314,6 +423,8 @@ TEST(KernelEquivalenceTest, Conv2dMatchesNaiveOnRandomShapes) {
         {3, 2, 5, 3, 9, 13},    // non-square input
         {1, 1, 3, 5, 7, 11},    // big kernel, odd dims
         {2, 4, 4, 1, 5, 6},     // 1x1 kernel
+        {17, 3, 8, 3, 14, 14},  // one full image-lane block plus a 1-image tail
+        {33, 8, 16, 3, 6, 6},   // two full lane blocks plus a tail
     };
     for (const Case& c : cases) {
         Conv2d layer(c.in_c, c.out_c, c.k);
@@ -445,6 +556,104 @@ TEST(KernelEquivalenceTest, WholeModelTrainingStepBitIdentical) {
     const std::vector<float> naive = run_epoch(1);
     const std::vector<float> fast = run_epoch(0);
     expect_close(fast, naive, "model parameters after one epoch");
+}
+
+/// Parameters after one epoch of `make` on `data` (all samples, batch 16)
+/// under one kernel mode.
+template <typename MakeModel>
+std::vector<float> params_after_epoch(const Dataset& data, MakeModel&& make, int mode) {
+    const KernelMode guard(mode);
+    std::vector<std::size_t> indices(data.size());
+    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    Model model = make();
+    (void)model.train_epoch(data, indices, 16, 0.05);
+    return model.get_parameters();
+}
+
+TEST(KernelEquivalenceTest, WholeModelTrainingStepBitIdenticalDeepCnnRaggedBatch) {
+    // paper/fig06's model at its CIFAR shape. 37 samples at batch 16 end on
+    // a ragged 5-image batch, so the image-lane kernels run a full lane
+    // block and a short one; the first Conv2d takes the parameters-only
+    // backward.
+    stats::Rng data_rng(46);
+    const Dataset data = make_synthetic_images(cifar10_spec(37), data_rng);
+    const auto make = [&] {
+        return make_cnn_deep(ImageSpec{3, 14, 14, data.num_classes}, 98);
+    };
+    expect_bit_identical(params_after_epoch(data, make, 0), params_after_epoch(data, make, 1),
+                         "make_cnn_deep parameters after one epoch");
+}
+
+TEST(KernelEquivalenceTest, WholeModelTrainingStepBitIdenticalLstm) {
+    // The first layer is an Embedding, which takes Layer's default
+    // parameters-only backward (the full backward into scratch).
+    stats::Rng data_rng(47);
+    const Dataset data = make_synthetic_text(hpnews_spec(40), data_rng);
+    const auto make = [&] {
+        TextSpec spec;
+        spec.vocab = hpnews_spec(40).vocab;
+        spec.classes = data.num_classes;
+        return make_lstm_classifier(spec, 97);
+    };
+    expect_bit_identical(params_after_epoch(data, make, 0), params_after_epoch(data, make, 1),
+                         "make_lstm_classifier parameters after one epoch");
+}
+
+/// backward_params against backward_into on the same forward pass, under
+/// one kernel mode: parameter gradients must match bit for bit.
+void expect_params_only_backward_matches(Layer& layer, const Tensor& input,
+                                         const std::string& what, stats::Rng& rng) {
+    for (const int mode : {0, 1}) {
+        const KernelMode guard(mode);
+        const Tensor out = layer.forward(input, /*training=*/true);
+        Tensor grad_out(out.shape());
+        for (std::size_t i = 0; i < grad_out.size(); ++i)
+            grad_out[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+
+        const auto grads_after = [&](auto&& run_backward) {
+            for (const ParamBlock& block : layer.parameters()) {
+                for (float& g : *block.grads) g = 0.25F;  // nonzero seed
+            }
+            run_backward();
+            std::vector<float> flat;
+            for (const ParamBlock& block : layer.parameters()) {
+                flat.insert(flat.end(), block.grads->begin(), block.grads->end());
+            }
+            return flat;
+        };
+        Tensor grad_input;
+        const std::vector<float> full =
+            grads_after([&] { layer.backward_into(grad_out, grad_input); });
+        Tensor scratch;
+        const std::vector<float> params_only =
+            grads_after([&] { layer.backward_params(grad_out, scratch); });
+        expect_bit_identical(params_only, full,
+                             what + (mode == 0 ? " (fast)" : " (naive)"));
+    }
+}
+
+TEST(KernelEquivalenceTest, ParamsOnlyBackwardMatchesFullBackward) {
+    stats::Rng rng(48);
+    {
+        Conv2d layer(3, 8, 3);
+        layer.initialize(rng);
+        expect_params_only_backward_matches(layer, random_tensor({16, 3, 14, 14}, rng),
+                                            "conv2d 3->8 k3", rng);
+    }
+    {
+        Conv2d layer(2, 5, 3);
+        layer.initialize(rng);
+        expect_params_only_backward_matches(layer, random_tensor({19, 2, 9, 13}, rng),
+                                            "conv2d 2->5 k3, ragged batch", rng);
+    }
+    for (const auto& [batch, in, out] :
+         std::vector<std::array<std::size_t, 3>>{{16, 256, 96}, {5, 33, 17}}) {
+        Dense layer(in, out);
+        layer.initialize(rng);
+        expect_params_only_backward_matches(
+            layer, random_tensor({batch, in}, rng),
+            "dense " + std::to_string(in) + "->" + std::to_string(out), rng);
+    }
 }
 
 TEST(KernelEquivalenceTest, NaiveKernelEnvDefaultIsOff) {
