@@ -36,6 +36,7 @@
 #include "fmore/ml/synthetic.hpp"
 #include "fmore/ml/tensor.hpp"
 #include "fmore/stats/rng.hpp"
+#include "fmore/util/json_ledger.hpp"
 
 #ifdef _WIN32
 #include <cstdlib>
@@ -183,25 +184,6 @@ TrainStepResult bench_train_step(std::size_t reps) {
     }
     ml::set_naive_kernels(-1);
     return out;
-}
-
-/// The widest SIMD extension this binary was compiled for.
-const char* compiled_isa() {
-#if defined(__AVX512F__)
-    return "avx512f";
-#elif defined(__AVX2__)
-    return "avx2";
-#elif defined(__AVX__)
-    return "avx";
-#elif defined(__SSE4_2__)
-    return "sse4.2";
-#elif defined(__SSE2__)
-    return "sse2";
-#elif defined(__ARM_NEON)
-    return "neon";
-#else
-    return "scalar";
-#endif
 }
 
 struct ElementwiseResult {
@@ -391,7 +373,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
     // The gemm, layer and train-step rows run on one thread.
-    std::fprintf(f, "  \"kernel_threads\": 1,\n  \"isa\": \"%s\",\n", compiled_isa());
+    std::fprintf(f, "  \"kernel_threads\": 1,\n  \"isa\": \"%s\",\n", util::compiled_isa());
     std::fprintf(f, "  \"gemm\": [\n");
     for (std::size_t i = 0; i < gemms.size(); ++i) {
         const GemmResult& g = gemms[i];

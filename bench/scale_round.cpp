@@ -31,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <new>
 #include <optional>
 #include <sstream>
@@ -45,6 +46,7 @@
 #include "fmore/mec/sharded_selector.hpp"
 #include "fmore/stats/normalizer.hpp"
 #include "fmore/util/json_ledger.hpp"
+#include "fmore/util/thread_pool.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation hook: counts every operator-new in the process so the
@@ -409,6 +411,11 @@ void write_ledger(const std::string& path, const std::vector<ScaleRow>& rows,
     };
     scalar("smoke", smoke ? "true" : "false");
     scalar("hardware_threads", std::to_string(std::thread::hardware_concurrency()));
+    // The worker count a round's parallel sections resolve to here
+    // (FMORE_THREADS / FMORE_ROUND_THREADS), next to the machine's.
+    scalar("round_threads", std::to_string(util::resolve_round_threads(
+                                0, std::numeric_limits<std::size_t>::max())));
+    scalar("isa", "\"" + std::string(util::compiled_isa()) + "\"");
     scalar("k", std::to_string(kWinners));
     scalar("shards", std::to_string(kShards));
     scalar("rounds_timed", std::to_string(rounds - 1));

@@ -28,6 +28,15 @@ public:
     [[nodiscard]] virtual double cost_span(const double* q, std::size_t n,
                                            double theta) const;
 
+    /// c(q, theta) for `rows` quality rows stored row-major (`dims`
+    /// doubles per row), one type per row:
+    /// `out[r] = cost_span(q + r * dims, dims, theta[r])`, bit for bit. The
+    /// default is exactly that loop, so custom models stay exact; the
+    /// built-in additive family overrides it with a lane loop that keeps
+    /// the per-element operation order.
+    virtual void cost_rows(const double* q, std::size_t rows, std::size_t dims,
+                           const double* theta, double* out) const;
+
     /// dc/dtheta at (q, theta); needed by Che's closed-form payments.
     [[nodiscard]] virtual double cost_theta_derivative(const QualityVector& q,
                                                        double theta) const = 0;
@@ -44,6 +53,8 @@ public:
     [[nodiscard]] double cost(const QualityVector& q, double theta) const override;
     [[nodiscard]] double cost_span(const double* q, std::size_t n,
                                    double theta) const override;
+    void cost_rows(const double* q, std::size_t rows, std::size_t dims,
+                   const double* theta, double* out) const override;
     [[nodiscard]] double cost_theta_derivative(const QualityVector& q,
                                                double theta) const override;
     [[nodiscard]] std::size_t dimensions() const override { return betas_.size(); }

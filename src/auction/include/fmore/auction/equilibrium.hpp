@@ -98,14 +98,9 @@ public:
     /// `quality`.
     void quality_into(double theta, double* out) const;
 
-    /// `payment_for` over a span — bit-identical to the vector overload.
-    [[nodiscard]] double payment_for_span(const double* q, std::size_t n, double theta,
-                                          PaymentMethod method
-                                          = PaymentMethod::integral) const;
-
     /// One sealed quote: the equilibrium payment plus the s(q) evaluated on
-    /// the way (each bit-identical to the individual calls). The fused
-    /// collector prices the bid AND scores it from one pass over q.
+    /// the way (each bit-identical to the individual calls). The per-row
+    /// form of `quote_rows`, which the fused collector runs.
     struct SealedQuote {
         double payment = 0.0;
         double quality_score = 0.0;
@@ -113,6 +108,23 @@ public:
     [[nodiscard]] SealedQuote quote_span(const double* q, std::size_t n, double theta,
                                          PaymentMethod method
                                          = PaymentMethod::integral) const;
+
+    /// Row form of `quality_into`: q^s(theta[r]) into `q + r * dimensions()`
+    /// for r < rows, bit-identical per row. All quality curves share the
+    /// solver's theta grid, so each row looks up one segment and reuses it
+    /// across the dimensions.
+    void quality_rows(const double* theta, std::size_t rows, double* q) const;
+
+    /// Row form of `quote_span` over `rows` quality rows stored row-major
+    /// (`dimensions()` doubles per row), type theta[r] per row. Writes
+    /// each row's payment, s(q) and equilibrium markup (p - c); every value
+    /// is bit-identical to `quote_span` on that row. Runs the cost and
+    /// scoring row hooks (`CostModel::cost_rows`,
+    /// `ScoringRule::quality_score_rows`), then the markup curve's row
+    /// evaluation on the score grid.
+    void quote_rows(const double* q, std::size_t rows, const double* theta,
+                    PaymentMethod method, double* payment, double* quality_score,
+                    double* markup) const;
 
     /// The scoring rule this strategy was solved against (never null for a
     /// solver-produced strategy). Callers that maintain their own broadcast

@@ -56,6 +56,15 @@ public:
     /// bit-identical to `quality_score` on an equal vector by contract.
     [[nodiscard]] virtual double quality_score_span(const double* q, std::size_t n) const;
 
+    /// s(q) for `rows` quality rows stored row-major (`dims` doubles per
+    /// row): `out[r] = quality_score_span(q + r * dims, dims)`, bit for
+    /// bit. The default is exactly that loop, so custom rules stay exact;
+    /// the built-in families override it with lane loops that keep the
+    /// per-element operation order. This is the hook the bid collector
+    /// scores a chunk of rows through.
+    virtual void quality_score_rows(const double* q, std::size_t rows, std::size_t dims,
+                                    double* out) const;
+
     /// S(q, p) over a span (see quality_score_span).
     [[nodiscard]] double score_span(const double* q, std::size_t n, double payment) const {
         return quality_score_span(q, n) - payment;
@@ -95,6 +104,8 @@ public:
     using WeightedScoringBase::WeightedScoringBase;
     [[nodiscard]] double quality_score(const QualityVector& q) const override;
     [[nodiscard]] double quality_score_span(const double* q, std::size_t n) const override;
+    void quality_score_rows(const double* q, std::size_t rows, std::size_t dims,
+                            double* out) const override;
 };
 
 /// Perfect-complementary (Leontief) utility: s(q) = min_i alpha_i q_i;
@@ -106,6 +117,8 @@ public:
     using WeightedScoringBase::WeightedScoringBase;
     [[nodiscard]] double quality_score(const QualityVector& q) const override;
     [[nodiscard]] double quality_score_span(const double* q, std::size_t n) const override;
+    void quality_score_rows(const double* q, std::size_t rows, std::size_t dims,
+                            double* out) const override;
 };
 
 /// General Cobb-Douglas utility: s(q) = prod_i q_i^{alpha_i}. The paper's
@@ -116,6 +129,8 @@ public:
     using WeightedScoringBase::WeightedScoringBase;
     [[nodiscard]] double quality_score(const QualityVector& q) const override;
     [[nodiscard]] double quality_score_span(const double* q, std::size_t n) const override;
+    void quality_score_rows(const double* q, std::size_t rows, std::size_t dims,
+                            double* out) const override;
 };
 
 /// Scaled product utility s(q) = alpha * q_1 * q_2 * ... * q_m; the exact
@@ -128,6 +143,8 @@ public:
 
     [[nodiscard]] double quality_score(const QualityVector& q) const override;
     [[nodiscard]] double quality_score_span(const double* q, std::size_t n) const override;
+    void quality_score_rows(const double* q, std::size_t rows, std::size_t dims,
+                            double* out) const override;
     [[nodiscard]] std::size_t dimensions() const override { return dims_; }
     [[nodiscard]] double alpha() const { return alpha_; }
 

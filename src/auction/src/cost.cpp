@@ -29,6 +29,11 @@ double CostModel::cost_span(const double* q, std::size_t n, double theta) const 
     return cost(scratch, theta);
 }
 
+void CostModel::cost_rows(const double* q, std::size_t rows, std::size_t dims,
+                          const double* theta, double* out) const {
+    for (std::size_t r = 0; r < rows; ++r) out[r] = cost_span(q + r * dims, dims, theta[r]);
+}
+
 AdditiveCost::AdditiveCost(std::vector<double> betas) : betas_(std::move(betas)) {
     check_betas(betas_);
 }
@@ -46,6 +51,23 @@ double AdditiveCost::cost_span(const double* q, std::size_t n, double theta) con
     double total = 0.0;
     for (std::size_t d = 0; d < n; ++d) total += betas_[d] * q[d];
     return theta * total;
+}
+
+void AdditiveCost::cost_rows(const double* q, std::size_t rows, std::size_t dims,
+                             const double* theta, double* out) const {
+    if (dims != betas_.size())
+        throw std::invalid_argument("cost: quality vector has wrong dimension");
+    // Dimension-major over the rows: each row still sums beta_d * q_d in d
+    // order from 0.0 and scales by theta last, exactly like cost_span.
+#pragma omp simd
+    for (std::size_t r = 0; r < rows; ++r) out[r] = 0.0;
+    for (std::size_t d = 0; d < dims; ++d) {
+        const double b = betas_[d];
+#pragma omp simd
+        for (std::size_t r = 0; r < rows; ++r) out[r] += b * q[r * dims + d];
+    }
+#pragma omp simd
+    for (std::size_t r = 0; r < rows; ++r) out[r] = theta[r] * out[r];
 }
 
 double AdditiveCost::cost_theta_derivative(const QualityVector& q, double) const {

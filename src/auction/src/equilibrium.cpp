@@ -93,19 +93,56 @@ void EquilibriumStrategy::quality_into(double theta, double* out) const {
     }
 }
 
-double EquilibriumStrategy::payment_for_span(const double* q, std::size_t n, double theta,
-                                             PaymentMethod method) const {
-    const double c = cost_->cost_span(q, n, theta);
-    const double u = scoring_->quality_score_span(q, n) - c;
-    return c + markup_at_score(u, method);
-}
-
 EquilibriumStrategy::SealedQuote EquilibriumStrategy::quote_span(
     const double* q, std::size_t n, double theta, PaymentMethod method) const {
     const double c = cost_->cost_span(q, n, theta);
     const double s = scoring_->quality_score_span(q, n);
     const double u = s - c;
     return {c + markup_at_score(u, method), s};
+}
+
+void EquilibriumStrategy::quality_rows(const double* theta, std::size_t rows,
+                                       double* q) const {
+    // The solver builds every quality curve on the same theta knots, so
+    // one segment lookup per row (on the first curve) serves every
+    // dimension, exactly as in quality_into.
+    const numeric::LinearInterpolator& first = *quality_curves_[0];
+    const double lo_x = first.x_min();
+    const double hi_x = first.x_max();
+    const std::size_t dims = quality_curves_.size();
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double th = theta[r];
+        double* out = q + r * dims;
+        if (th <= lo_x) {
+            for (std::size_t d = 0; d < dims; ++d) out[d] = quality_curves_[d]->ys().front();
+        } else if (th >= hi_x) {
+            for (std::size_t d = 0; d < dims; ++d) out[d] = quality_curves_[d]->ys().back();
+        } else {
+            const std::size_t hi = first.segment_for(th);
+            for (std::size_t d = 0; d < dims; ++d)
+                out[d] = quality_curves_[d]->eval_segment(hi, th);
+        }
+    }
+}
+
+void EquilibriumStrategy::quote_rows(const double* q, std::size_t rows, const double* theta,
+                                     PaymentMethod method, double* payment,
+                                     double* quality_score, double* markup) const {
+    const std::size_t dims = dimensions();
+    cost_->cost_rows(q, rows, dims, theta, payment);  // c, until the markup lands
+    scoring_->quality_score_rows(q, rows, dims, quality_score);
+    if (degenerate_) {
+        for (std::size_t r = 0; r < rows; ++r) markup[r] = 0.0;
+    } else {
+        const double u_min = u_min_;
+        const double u_max = u_max_;
+#pragma omp simd
+        for (std::size_t r = 0; r < rows; ++r)
+            markup[r] = std::clamp(quality_score[r] - payment[r], u_min, u_max);
+        markup_curve(method).eval_rows(markup, rows, markup);
+    }
+#pragma omp simd
+    for (std::size_t r = 0; r < rows; ++r) payment[r] = payment[r] + markup[r];
 }
 
 const numeric::LinearInterpolator&

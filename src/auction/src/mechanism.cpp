@@ -232,14 +232,18 @@ void ScoreAuctionMechanism::rank_frame(const ScoringRule& scoring, const BidFram
     // A collector that filled the score column already did this arithmetic
     // with the row's quality hot in registers; otherwise score on the fly.
     const bool scored = frame.scored();
-    const auto candidate_at = [&](std::size_t a) {
-        const NodeId row = active[a];
-        const double score =
-            scored ? frame.score(row)
-                   : scoring.score_span(frame.quality_row(row), dims, frame.payment(row));
+    const auto score_at = [&](NodeId row) {
+        return scored ? frame.score(row)
+                      : scoring.score_span(frame.quality_row(row), dims, frame.payment(row));
+    };
+    const auto candidate_with = [&](NodeId row, double score) {
         const std::uint64_t key =
             salted ? stats::derive_stream_seed(tie_salt, row) : pos[row];
         return Candidate{score, key, row};
+    };
+    const auto candidate_at = [&](std::size_t a) {
+        const NodeId row = active[a];
+        return candidate_with(row, score_at(row));
     };
 
     constexpr std::size_t kChunk = 2048;
@@ -273,10 +277,16 @@ void ScoreAuctionMechanism::rank_frame(const ScoringRule& scoring, const BidFram
         const std::size_t slots = std::max<std::size_t>(1, workers);
         scratch.slot_cands.resize(slots * top);
         scratch.slot_size.assign(slots, 0);
+        // Score gate: once a slot's heap is full, a row scoring below its
+        // root is rejected before its tie key is read — exact, because
+        // better(cand, root) is false whenever cand.score < root.score.
         const auto consider = [&](std::size_t slot, std::size_t a) {
-            const Candidate cand = candidate_at(a);
             Candidate* heap = scratch.slot_cands.data() + slot * top;
             std::size_t& size = scratch.slot_size[slot];
+            const NodeId row = active[a];
+            const double score = score_at(row);
+            if (size == top && score < heap[0].score) return;
+            const Candidate cand = candidate_with(row, score);
             if (size < top) {
                 heap[size++] = cand;
                 std::push_heap(heap, heap + size, better);

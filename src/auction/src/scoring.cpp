@@ -32,6 +32,29 @@ double ScoringRule::quality_score_span(const double* q, std::size_t n) const {
     return quality_score(scratch);
 }
 
+void ScoringRule::quality_score_rows(const double* q, std::size_t rows, std::size_t dims,
+                                     double* out) const {
+    for (std::size_t r = 0; r < rows; ++r) out[r] = quality_score_span(q + r * dims, dims);
+}
+
+namespace {
+
+void check_row_dims(std::size_t dims, std::size_t expected) {
+    if (dims != expected)
+        throw std::invalid_argument("scoring: quality vector has wrong dimension");
+}
+
+/// Dimension d of row r after normalization (identity if none given) —
+/// the per-element transform of the `_span` forms.
+inline double normalized_at(const std::vector<stats::MinMaxNormalizer>& norms,
+                            const double* q, std::size_t r, std::size_t dims,
+                            std::size_t d) {
+    const double x = q[r * dims + d];
+    return norms.empty() ? x : norms[d].transform(x);
+}
+
+} // namespace
+
 double AdditiveScoring::quality_score(const QualityVector& q) const {
     check_dims(q);
     double total = 0.0;
@@ -50,6 +73,21 @@ double AdditiveScoring::quality_score_span(const double* q, std::size_t n) const
         total += coefficients_[d] * qi;
     }
     return total;
+}
+
+void AdditiveScoring::quality_score_rows(const double* q, std::size_t rows,
+                                         std::size_t dims, double* out) const {
+    check_row_dims(dims, coefficients_.size());
+    // Dimension-major over the rows: each row still sums its terms in d
+    // order from 0.0, exactly like quality_score_span.
+#pragma omp simd
+    for (std::size_t r = 0; r < rows; ++r) out[r] = 0.0;
+    for (std::size_t d = 0; d < dims; ++d) {
+        const double a = coefficients_[d];
+#pragma omp simd
+        for (std::size_t r = 0; r < rows; ++r)
+            out[r] += a * normalized_at(normalizers_, q, r, dims, d);
+    }
 }
 
 double LeontiefScoring::quality_score(const QualityVector& q) const {
@@ -72,6 +110,21 @@ double LeontiefScoring::quality_score_span(const double* q, std::size_t n) const
         lowest = std::min(lowest, coefficients_[d] * norm(d));
     }
     return lowest;
+}
+
+void LeontiefScoring::quality_score_rows(const double* q, std::size_t rows,
+                                         std::size_t dims, double* out) const {
+    check_row_dims(dims, coefficients_.size());
+    const double a0 = coefficients_[0];
+#pragma omp simd
+    for (std::size_t r = 0; r < rows; ++r)
+        out[r] = a0 * normalized_at(normalizers_, q, r, dims, 0);
+    for (std::size_t d = 1; d < dims; ++d) {
+        const double a = coefficients_[d];
+#pragma omp simd
+        for (std::size_t r = 0; r < rows; ++r)
+            out[r] = std::min(out[r], a * normalized_at(normalizers_, q, r, dims, d));
+    }
 }
 
 double CobbDouglasScoring::quality_score(const QualityVector& q) const {
@@ -97,6 +150,23 @@ double CobbDouglasScoring::quality_score_span(const double* q, std::size_t n) co
         product *= std::pow(qi, coefficients_[d]);
     }
     return product;
+}
+
+void CobbDouglasScoring::quality_score_rows(const double* q, std::size_t rows,
+                                            std::size_t dims, double* out) const {
+    check_row_dims(dims, coefficients_.size());
+    // Reject before computing anything: the span form throws on the first
+    // negative normalized quality, and so does this one.
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t d = 0; d < dims; ++d)
+            if (normalized_at(normalizers_, q, r, dims, d) < 0.0)
+                throw std::domain_error("CobbDouglasScoring: negative quality");
+    for (std::size_t r = 0; r < rows; ++r) out[r] = 1.0;
+    for (std::size_t d = 0; d < dims; ++d) {
+        const double a = coefficients_[d];
+        for (std::size_t r = 0; r < rows; ++r)
+            out[r] *= std::pow(normalized_at(normalizers_, q, r, dims, d), a);
+    }
 }
 
 ScaledProductScoring::ScaledProductScoring(double alpha, std::size_t dims,
@@ -125,6 +195,19 @@ double ScaledProductScoring::quality_score_span(const double* q, std::size_t n) 
         product *= normalizers_.empty() ? q[d] : normalizers_[d].transform(q[d]);
     }
     return product;
+}
+
+void ScaledProductScoring::quality_score_rows(const double* q, std::size_t rows,
+                                              std::size_t dims, double* out) const {
+    if (dims != dims_)
+        throw std::invalid_argument("ScaledProductScoring: quality vector has wrong dimension");
+#pragma omp simd
+    for (std::size_t r = 0; r < rows; ++r) out[r] = alpha_;
+    for (std::size_t d = 0; d < dims; ++d) {
+#pragma omp simd
+        for (std::size_t r = 0; r < rows; ++r)
+            out[r] *= normalized_at(normalizers_, q, r, dims, d);
+    }
 }
 
 } // namespace fmore::auction

@@ -76,11 +76,15 @@ void collect_shard_head(const BidFrame& frame, std::size_t begin_row,
     if (limit == 0) return;
 
     // Bounded heap, root = worst kept row — the same structure the fused
-    // monolithic pass keeps per worker slot, here per shard.
+    // monolithic pass keeps per worker slot, here per shard. Once the heap
+    // is full, a row scoring below the root is rejected before its
+    // candidate (and tie key) is built: head_row_better(cand, root) is
+    // false whenever cand.score < root.score, so the gate is exact.
     std::vector<HeadRow>& heap = out.rows;
     heap.reserve(limit);
     for (NodeId row = begin_row; row < end_row; ++row) {
         if (!frame.active(row)) continue;
+        if (heap.size() == limit && frame.score(row) < heap.front().score) continue;
         const NodeId global = node_offset + row;
         const HeadRow cand{global, frame.score(row), keys.key(global),
                            frame.payment(row)};

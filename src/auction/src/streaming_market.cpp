@@ -134,24 +134,34 @@ bool StreamingMarket::offer(NodeId node, const double* quality, double payment,
     frame_.score(node) = score;
     ++arrived_;
 
-    const std::uint64_t key =
-        salted_incremental_ ? stats::derive_stream_seed(tie_salt_, node) : 0;
-    const Candidate cand{score, key, node};
-    if (salted_incremental_) {
-        // The same bounded-heap fold rank_frame's fused top-K pass runs per
-        // chunk, applied per ARRIVAL: root = worst kept candidate, replace
-        // when the newcomer beats it. O(log K) per bid.
-        if (cand_cap_ == 0 || cands_.size() < cand_cap_) {
-            cands_.push_back(cand);
-            if (cand_cap_ != 0)
+    // Score gate, as in rank_frame's fused heap: a bid scoring below the
+    // root of a full bounded heap can never enter it, so its tie key is
+    // hashed only when one of the two heaps may take it.
+    const bool cands_may_take =
+        salted_incremental_
+        && (cand_cap_ == 0 || cands_.size() < cand_cap_ || !(score < cands_.front().score));
+    const bool head_may_take =
+        head_cap_ != 0 && (head_.size() < head_cap_ || !(score < head_.front().score));
+    if (cands_may_take || head_may_take) {
+        const std::uint64_t key =
+            salted_incremental_ ? stats::derive_stream_seed(tie_salt_, node) : 0;
+        const Candidate cand{score, key, node};
+        if (cands_may_take) {
+            // The same bounded-heap fold rank_frame's fused top-K pass runs
+            // per chunk, applied per ARRIVAL: root = worst kept candidate,
+            // replace when the newcomer beats it. O(log K) per bid.
+            if (cand_cap_ == 0 || cands_.size() < cand_cap_) {
+                cands_.push_back(cand);
+                if (cand_cap_ != 0)
+                    std::push_heap(cands_.begin(), cands_.end(), better);
+            } else if (better(cand, cands_.front())) {
+                std::pop_heap(cands_.begin(), cands_.end(), better);
+                cands_.back() = cand;
                 std::push_heap(cands_.begin(), cands_.end(), better);
-        } else if (better(cand, cands_.front())) {
-            std::pop_heap(cands_.begin(), cands_.end(), better);
-            cands_.back() = cand;
-            std::push_heap(cands_.begin(), cands_.end(), better);
+            }
         }
+        if (head_may_take) track_head(cand);
     }
-    track_head(cand);
 
     if (round_.quorum > 0 && arrived_ >= round_.quorum) {
         reason_ = CloseReason::quorum;

@@ -51,6 +51,8 @@ struct PopulationSpec {
     double theta_hi = 1.5;
     double resource_jitter = 0.08;
     double theta_jitter = 0.02;
+
+    [[nodiscard]] bool operator==(const PopulationSpec&) const = default;
 };
 
 /// The incentive layer: mechanism name, winner-set size, scoring and cost
@@ -118,6 +120,8 @@ struct AuctionSpec {
     /// Fail-fast quorum: a round that ends with fewer live shards throws
     /// instead of silently shrinking the market; 0 disables.
     std::size_t shard_quorum = 0;
+
+    [[nodiscard]] bool operator==(const AuctionSpec&) const = default;
 };
 
 /// The learning workload: dataset, split sizes and SGD hyperparameters.
@@ -130,6 +134,8 @@ struct TrainingSpec {
     std::size_t batch_size = 16;
     double learning_rate = 0.08;
     std::size_t eval_cap = 1000;
+
+    [[nodiscard]] bool operator==(const TrainingSpec&) const = default;
 };
 
 /// The wall-clock model (testbed experiments; see mec::ClusterTimeConfig)
@@ -212,6 +218,8 @@ struct TimingSpec {
     /// `.tmp` files are deleted after each successful write). Must be >= 1
     /// when checkpointing is on.
     std::size_t checkpoint_keep = 3;
+
+    [[nodiscard]] bool operator==(const TimingSpec&) const = default;
 };
 
 /// Everything needed to reproduce one experiment, simulator or testbed.
@@ -222,13 +230,9 @@ struct ExperimentSpec {
     AuctionSpec auction;
     TrainingSpec training;
     TimingSpec timing;
-};
 
-[[nodiscard]] bool operator==(const PopulationSpec&, const PopulationSpec&);
-[[nodiscard]] bool operator==(const AuctionSpec&, const AuctionSpec&);
-[[nodiscard]] bool operator==(const TrainingSpec&, const TrainingSpec&);
-[[nodiscard]] bool operator==(const TimingSpec&, const TimingSpec&);
-[[nodiscard]] bool operator==(const ExperimentSpec&, const ExperimentSpec&);
+    [[nodiscard]] bool operator==(const ExperimentSpec&) const = default;
+};
 
 [[nodiscard]] std::string to_string(ExperimentKind kind);
 

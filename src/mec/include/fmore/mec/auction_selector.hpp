@@ -48,10 +48,19 @@ QualitySource cpu_bandwidth_data_extractor();
 /// `frame_base + (i - lo)`. Blacklist lookups use GLOBAL node ids
 /// (`store.node_offset() + i`), so the same pass serves the monolithic
 /// selector (offset 0, whole store) and every shard of the sharded market.
-/// `columns` is caller-owned scratch (column pointers, reused across
-/// rounds). Chunk-parallel over idle pool workers when `parallel`; results
-/// are row-pure, hence identical for any worker count. The caller is
-/// responsible for `frame.reset` and `frame.set_scored(true)`.
+///
+/// Rows are processed as lane chunks: runs of consecutive active rows, at
+/// most a fixed chunk long, each pushed through the phases quality curves
+/// (`EquilibriumStrategy::quality_rows`) -> column clamp -> cost and s(q)
+/// row hooks -> markup rows on the score grid -> payment and score. The
+/// chunk's qualities, asks and scores live in the frame's own columns;
+/// only its markups sit in a fixed stack buffer, so no round allocates.
+/// Every value is bit-identical to quoting the row on its own
+/// (`quality_into` + `quote_span`). `columns` is caller-owned scratch
+/// (column pointers, reused across rounds). Chunk-parallel over idle pool
+/// workers when `parallel`; results are row-pure, hence identical for any
+/// worker count. The caller is responsible for `frame.reset` and
+/// `frame.set_scored(true)`.
 void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t hi,
                       const QualityLayout& layout,
                       const auction::EquilibriumStrategy& strategy,

@@ -109,6 +109,10 @@ public:
     [[nodiscard]] double bandwidth_mbps(std::size_t i) const { return bandwidth_[i]; }
     [[nodiscard]] double cpu_cores(std::size_t i) const { return cpu_[i]; }
 
+    /// The current theta column: row i holds the type of node
+    /// node_offset() + i.
+    [[nodiscard]] const std::vector<double>& theta_column() const { return theta_; }
+
     /// Current-state column for one resource dimension.
     [[nodiscard]] const std::vector<double>& column(ResourceDim dim) const;
 
@@ -180,7 +184,9 @@ private:
                         double category, const stats::Distribution& theta_dist,
                         stats::Rng& rng);
     void evolve_all(std::uint64_t salt, bool parallel);
-    void evolve_node(std::size_t i, std::uint64_t salt);
+    /// One round of drift over rows [lo, hi) (the lane kernel; see
+    /// population_store.cpp).
+    void drift_range(std::size_t lo, std::size_t hi, std::uint64_t salt);
 
     std::size_t node_offset_ = 0;
     ResourceDynamics dynamics_{};

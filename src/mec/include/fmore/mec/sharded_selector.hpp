@@ -169,8 +169,7 @@ private:
     void evolve_shards(stats::Rng& rng);
     void refresh_dropped(std::size_t round);
     const auction::Mechanism* mechanism_for(std::size_t k);
-    void run_fused_sharded(const auction::ScoreAuctionMechanism& engine,
-                           std::size_t k, stats::Rng& rng);
+    void run_fused_sharded(const auction::ScoreAuctionMechanism& engine, stats::Rng& rng);
     void run_gathered(const auction::Mechanism& mechanism, stats::Rng& rng);
     [[nodiscard]] double bid_quality(auction::NodeId node, std::size_t dim) const;
 

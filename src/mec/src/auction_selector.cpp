@@ -27,6 +27,10 @@ double resource_value(const ResourceState& r, ResourceDim dim) {
 /// evolve chunks).
 constexpr std::size_t kCollectChunk = 4096;
 
+/// Rows per lane chunk of the collect pass: the chunk's qualities, asks,
+/// scores and markups stay in L1 while the phases sweep over them.
+constexpr std::size_t kLaneChunk = 512;
+
 bool legacy_path_forced() {
     const char* env = std::getenv("FMORE_BID_PATH");
     return env != nullptr && std::string_view(env) == "legacy";
@@ -102,33 +106,54 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
     // own empty instance — and its capacity survives across rounds.
     columns.clear();
     for (const ResourceDim dim : layout) columns.push_back(store.column(dim).data());
-    const std::vector<const double*>& cols = columns;
+    const double* const* cols = columns.data();
+    const double* theta = store.theta_column().data();
 
-    const auto collect_node = [&](std::size_t i) {
-        const std::size_t row = frame_base + (i - lo);
-        if (blacklist.contains(store.node_offset() + i)) {
-            frame.set_active(row, false);
-            return;
-        }
-        double* q = frame.quality_row(row);
-        const double theta = store.theta(i);
-        strategy.quality_into(theta, q);
+    // One lane chunk: store rows [a, b), all active, contiguous in the
+    // store and in the frame.
+    const auto quote_run = [&](std::size_t a, std::size_t b) {
+        const std::size_t rows = b - a;
+        double markup[kLaneChunk];
+        const std::size_t row0 = frame_base + (a - lo);
+        double* q = frame.quality_row(row0);
+        double* payment = &frame.payment(row0);
+        double* score = &frame.score(row0);
+        strategy.quality_rows(theta + a, rows, q);
         for (std::size_t d = 0; d < dims; ++d) {
-            if (q[d] > cols[d][i]) q[d] = cols[d][i];
+            const double* avail = cols[d] + a;
+#pragma omp simd
+            for (std::size_t r = 0; r < rows; ++r) {
+                double& qd = q[r * dims + d];
+                qd = qd > avail[r] ? avail[r] : qd;
+            }
         }
-        // One pass over q prices the bid and yields s(q); the aggregator
-        // score S = s(q) - p lands in the frame's score column, so ranking
-        // streams one double per row instead of re-reading N×d qualities.
-        // The quote's s(q) doubles as the aggregator score only when the
-        // strategy was solved against the selector's broadcast rule
-        // (always true for the trial engines); otherwise score with the
-        // broadcast rule explicitly so fused and classic ranking agree.
-        const auction::EquilibriumStrategy::SealedQuote quote =
-            strategy.quote_span(q, dims, theta, payment_method);
-        frame.payment(row) = quote.payment;
-        frame.score(row) = strategy_scores_broadcast_rule
-                               ? quote.quality_score - quote.payment
-                               : scoring.score_span(q, dims, quote.payment);
+        // The quote's s(q) lands in the score column and doubles as the
+        // aggregator's s(q) only when the strategy was solved against the
+        // selector's broadcast rule (always true for the trial engines);
+        // otherwise the broadcast rule re-scores the rows, so fused and
+        // classic ranking agree. Either way S = s(q) - p.
+        strategy.quote_rows(q, rows, theta + a, payment_method, payment, score, markup);
+        if (!strategy_scores_broadcast_rule) scoring.quality_score_rows(q, rows, dims, score);
+#pragma omp simd
+        for (std::size_t r = 0; r < rows; ++r) score[r] = score[r] - payment[r];
+    };
+    // Active mask first: a blacklisted row is flagged and never quoted; the
+    // active rows between bans go through quote_run in lane chunks.
+    const auto collect_range = [&](std::size_t clo, std::size_t chi) {
+        std::size_t i = clo;
+        while (i < chi) {
+            if (blacklist.contains(store.node_offset() + i)) {
+                frame.set_active(frame_base + (i - lo), false);
+                ++i;
+                continue;
+            }
+            std::size_t end = i + 1;
+            while (end < chi && end - i < kLaneChunk
+                   && !blacklist.contains(store.node_offset() + end))
+                ++end;
+            quote_run(i, end);
+            i = end;
+        }
     };
 
     const std::size_t n = hi - lo;
@@ -136,13 +161,12 @@ void collect_bid_rows(const PopulationStore& store, std::size_t lo, std::size_t 
     const std::size_t workers =
         (!parallel || chunks <= 1) ? 1 : util::resolve_round_threads(0, chunks);
     if (workers <= 1) {
-        for (std::size_t i = lo; i < hi; ++i) collect_node(i);
+        collect_range(lo, hi);
     } else {
         util::ThreadPool::shared().parallel_for(
             chunks, workers - 1, [&](std::size_t, std::size_t chunk) {
                 const std::size_t clo = lo + chunk * kCollectChunk;
-                const std::size_t chi = std::min(hi, clo + kCollectChunk);
-                for (std::size_t i = clo; i < chi; ++i) collect_node(i);
+                collect_range(clo, std::min(hi, clo + kCollectChunk));
             });
     }
 }

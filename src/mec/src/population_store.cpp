@@ -111,34 +111,115 @@ ResourceState PopulationStore::caps(std::size_t i) const {
     return r;
 }
 
-void PopulationStore::evolve_node(std::size_t i, std::uint64_t salt) {
-    // Streams are keyed by GLOBAL id: a shard store replays exactly the
-    // draws its rows would see inside the unsplit store.
-    stats::SplitMix64 stream(stats::derive_stream_seed(salt, node_offset_ + i));
-    const double jitter = dynamics_.resource_jitter;
-    if (jitter > 0.0) {
-        if (bandwidth_cap_[i] > 0.0) {
-            const double step = bandwidth_cap_[i] * jitter;
-            bandwidth_[i] = std::clamp(bandwidth_[i] + stream.uniform(-step, step),
-                                       0.05 * bandwidth_cap_[i], bandwidth_cap_[i]);
+namespace {
+
+/// What the drift kernel reads and writes: raw column pointers plus one
+/// round's salt and the store's dynamics.
+struct DriftArgs {
+    double* theta;
+    double* data_size;
+    double* bandwidth;
+    double* cpu;
+    const double* data_cap;
+    const double* bandwidth_cap;
+    const double* cpu_cap;
+    std::uint64_t salt;
+    std::size_t node_offset;
+    double jitter;
+    double theta_jitter;
+    double theta_lo;
+    double theta_hi;
+};
+
+/// `std::clamp`'s exact expression (`min(max(v, lo), hi)`), spelled out so
+/// masked-off lanes with meaningless bounds never reach its debug assert.
+inline double clamp_like_std(double v, double lo, double hi) {
+    const double floor = v < lo ? lo : v;
+    return hi < floor ? hi : floor;
+}
+
+/// Uniform draw `k` (0-based) of the stream seeded with `seed`: the same
+/// value the k+1-th `SplitMix64::uniform(lo, hi)` call returns.
+inline double uniform_at(std::uint64_t seed, std::uint64_t k, double lo, double hi) {
+    using stats::SplitMix64;
+    const double u = SplitMix64::unit(SplitMix64::mix(seed + (k + 1) * SplitMix64::kGamma));
+    return lo + (hi - lo) * u;
+}
+
+/// The drift lane kernel over rows [lo, hi). Each row's stream is seeded
+/// from (salt, global id); a resource dimension consumes a draw only when
+/// its cap is > 0, and theta's draw comes last. Every draw is computed from
+/// its index, every update is selected by mask, so the loop is branch-free
+/// and bit-identical to drawing the stream one call at a time.
+template <bool kResources, bool kTheta>
+void drift_rows(const DriftArgs& c, std::size_t lo, std::size_t hi) {
+    const double jitter = c.jitter;
+    const double tj = c.theta_jitter;
+    // Eight lanes: one 512-bit vector where the ISA has it (about a fifth
+    // faster than 256-bit on an AVX-512 host; the 64-bit multiplies of the
+    // mixer dominate).
+#pragma omp simd simdlen(8)
+    for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint64_t seed = stats::derive_stream_seed(c.salt, c.node_offset + i);
+        std::uint64_t k = 0;
+        if constexpr (kResources) {
+            const double bcap = c.bandwidth_cap[i];
+            const bool has_b = bcap > 0.0;
+            const double bstep = bcap * jitter;
+            const double b = clamp_like_std(
+                c.bandwidth[i] + uniform_at(seed, k, -bstep, bstep), 0.05 * bcap, bcap);
+            c.bandwidth[i] = has_b ? b : c.bandwidth[i];
+            k += has_b ? 1 : 0;
+
+            const double ccap = c.cpu_cap[i];
+            const bool has_c = ccap > 0.0;
+            const double cstep = ccap * jitter;
+            const double cpu = clamp_like_std(
+                c.cpu[i] + uniform_at(seed, k, -cstep, cstep), 0.05 * ccap, ccap);
+            c.cpu[i] = has_c ? cpu : c.cpu[i];
+            k += has_c ? 1 : 0;
+
+            // Data holdings only grow toward the shard cap (nodes
+            // accumulate data).
+            const double dcap = c.data_cap[i];
+            const bool has_d = dcap > 0.0;
+            const double dstep = dcap * jitter;
+            const double data = clamp_like_std(
+                c.data_size[i] + uniform_at(seed, k, 0.0, dstep), 0.0, dcap);
+            c.data_size[i] = has_d ? data : c.data_size[i];
+            k += has_d ? 1 : 0;
         }
-        if (cpu_cap_[i] > 0.0) {
-            const double step = cpu_cap_[i] * jitter;
-            cpu_[i] = std::clamp(cpu_[i] + stream.uniform(-step, step),
-                                 0.05 * cpu_cap_[i], cpu_cap_[i]);
-        }
-        // Data holdings only grow toward the shard cap (nodes accumulate
-        // data).
-        if (data_cap_[i] > 0.0) {
-            const double step = data_cap_[i] * jitter;
-            data_size_[i] = std::clamp(data_size_[i] + stream.uniform(0.0, step), 0.0,
-                                       data_cap_[i]);
+        if constexpr (kTheta) {
+            c.theta[i] = clamp_like_std(c.theta[i] + uniform_at(seed, k, -tj, tj), c.theta_lo,
+                                        c.theta_hi);
         }
     }
-    if (dynamics_.theta_jitter > 0.0) {
-        theta_[i] = std::clamp(
-            theta_[i] + stream.uniform(-dynamics_.theta_jitter, dynamics_.theta_jitter),
-            theta_lo_, theta_hi_);
+}
+
+} // namespace
+
+void PopulationStore::drift_range(std::size_t lo, std::size_t hi, std::uint64_t salt) {
+    const DriftArgs args{.theta = theta_.data(),
+                         .data_size = data_size_.data(),
+                         .bandwidth = bandwidth_.data(),
+                         .cpu = cpu_.data(),
+                         .data_cap = data_cap_.data(),
+                         .bandwidth_cap = bandwidth_cap_.data(),
+                         .cpu_cap = cpu_cap_.data(),
+                         .salt = salt,
+                         .node_offset = node_offset_,
+                         .jitter = dynamics_.resource_jitter,
+                         .theta_jitter = dynamics_.theta_jitter,
+                         .theta_lo = theta_lo_,
+                         .theta_hi = theta_hi_};
+    const bool resources = args.jitter > 0.0;
+    const bool theta = args.theta_jitter > 0.0;
+    if (resources && theta) {
+        drift_rows<true, true>(args, lo, hi);
+    } else if (resources) {
+        drift_rows<true, false>(args, lo, hi);
+    } else if (theta) {
+        drift_rows<false, true>(args, lo, hi);
     }
 }
 
@@ -151,14 +232,13 @@ void PopulationStore::evolve_all(std::uint64_t salt, bool parallel) {
     const std::size_t workers =
         (!parallel || chunks <= 1) ? 1 : util::resolve_round_threads(0, chunks);
     if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i) evolve_node(i, salt);
+        drift_range(0, n, salt);
         return;
     }
     util::ThreadPool::shared().parallel_for(
         chunks, workers - 1, [&](std::size_t, std::size_t chunk) {
             const std::size_t lo = chunk * kEvolveChunk;
-            const std::size_t hi = std::min(n, lo + kEvolveChunk);
-            for (std::size_t i = lo; i < hi; ++i) evolve_node(i, salt);
+            drift_range(lo, std::min(n, lo + kEvolveChunk), salt);
         });
 }
 

@@ -150,8 +150,7 @@ const auction::Mechanism* ShardedAuctionSelector::mechanism_for(std::size_t k) {
 }
 
 void ShardedAuctionSelector::run_fused_sharded(
-    const auction::ScoreAuctionMechanism& engine, std::size_t k, stats::Rng& rng) {
-    (void)k;
+    const auction::ScoreAuctionMechanism& engine, stats::Rng& rng) {
     const std::size_t dims = layout_.size();
     frames_.resize(shards_.size());
     heads_.resize(shards_.size());
@@ -254,7 +253,7 @@ ShardedAuctionSelector::run_auction_round(std::size_t round, std::size_t k,
         engine != nullptr && typeid(*mechanism) == typeid(auction::ScoreAuctionMechanism);
     gather_lane_ = !exact;
     if (exact) {
-        run_fused_sharded(*engine, k, rng);
+        run_fused_sharded(*engine, rng);
     } else {
         run_gathered(*mechanism, rng);
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 namespace fmore::numeric {
@@ -23,6 +24,11 @@ public:
 
     /// Evaluate at x, clamping to the end values outside the knot range.
     [[nodiscard]] double operator()(double x) const;
+
+    /// Row evaluation: `out[r] = (*this)(x[r])` for r < rows, bit for bit
+    /// (same clamping, same index guess and exact fix-up, same lerp).
+    /// `out` may alias `x`.
+    void eval_rows(const double* x, std::size_t rows, double* out) const;
 
     [[nodiscard]] double x_min() const { return xs_.front(); }
     [[nodiscard]] double x_max() const { return xs_.back(); }

@@ -60,6 +60,17 @@ double LinearInterpolator::operator()(double x) const {
     return eval_segment(segment_for(x), x);
 }
 
+void LinearInterpolator::eval_rows(const double* x, std::size_t rows, double* out) const {
+    const double front = xs_.front();
+    const double back = xs_.back();
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double xr = x[r];
+        out[r] = xr <= front  ? ys_.front()
+                 : xr >= back ? ys_.back()
+                              : eval_segment(segment_for(xr), xr);
+    }
+}
+
 LinearInterpolator LinearInterpolator::inverse_of(const std::vector<double>& xs,
                                                   const std::vector<double>& ys) {
     if (xs.size() != ys.size() || xs.size() < 2)

@@ -56,21 +56,33 @@ private:
 /// replays exactly the same draws.
 class SplitMix64 {
 public:
+    /// Counter increment (the golden-ratio gamma of splitmix64).
+    static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
     explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
-    /// splitmix64 finalizer over an incrementing counter — the same mixing
-    /// `Rng::split` uses for child streams.
-    std::uint64_t next_u64() {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    /// The splitmix64 finalizer. The stream is counter-based: draw k
+    /// (1-based) of a stream seeded with `s` is `mix(s + k * kGamma)`, so
+    /// lane kernels can compute any draw straight from its index.
+    static std::uint64_t mix(std::uint64_t z) {
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
         return z ^ (z >> 31);
     }
 
-    /// Uniform real in [lo, hi) from the top 53 bits of one draw.
+    /// Uniform real in [0, 1) from the top 53 bits of one draw.
+    static double unit(std::uint64_t bits) {
+        return static_cast<double>(bits >> 11) * 0x1.0p-53;
+    }
+
+    /// splitmix64 finalizer over an incrementing counter — the same mixing
+    /// `Rng::split` uses for child streams.
+    std::uint64_t next_u64() { return mix(state_ += kGamma); }
+
+    /// Uniform real in [lo, hi) from one draw.
     double uniform(double lo, double hi) {
-        const double unit = static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-        return lo + (hi - lo) * unit;
+        const double u = unit(next_u64());
+        return lo + (hi - lo) * u;
     }
 
 private:
@@ -81,10 +93,7 @@ private:
 /// finalize of the xor — cheap, and distinct indices under the same salt
 /// land in statistically independent streams.
 inline std::uint64_t derive_stream_seed(std::uint64_t salt, std::uint64_t index) {
-    std::uint64_t z = (salt ^ (index * 0x9e3779b97f4a7c15ull)) + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return SplitMix64::mix((salt ^ (index * SplitMix64::kGamma)) + SplitMix64::kGamma);
 }
 
 } // namespace fmore::stats

@@ -18,11 +18,6 @@ MinMaxNormalizer MinMaxNormalizer::fit(const std::vector<double>& values) {
     return MinMaxNormalizer(*mn, *mx);
 }
 
-double MinMaxNormalizer::transform(double x) const {
-    const double y = (x - lo_) / (hi_ - lo_);
-    return std::clamp(y, 0.0, 1.0);
-}
-
 double MinMaxNormalizer::inverse(double y) const {
     return lo_ + std::clamp(y, 0.0, 1.0) * (hi_ - lo_);
 }

@@ -54,4 +54,26 @@ namespace fmore::util {
                                                 const std::string& key,
                                                 const std::string& section);
 
+/// The widest SIMD extension the including translation unit was compiled
+/// for: the `isa` a ledger records next to its figures. Inline on purpose,
+/// so it reports the flags of the bench that includes it (the project's
+/// build flags, shared with the libraries it links).
+[[nodiscard]] inline const char* compiled_isa() {
+#if defined(__AVX512F__)
+    return "avx512f";
+#elif defined(__AVX2__)
+    return "avx2";
+#elif defined(__AVX__)
+    return "avx";
+#elif defined(__SSE4_2__)
+    return "sse4.2";
+#elif defined(__SSE2__)
+    return "sse2";
+#elif defined(__ARM_NEON)
+    return "neon";
+#else
+    return "scalar";
+#endif
+}
+
 } // namespace fmore::util
