@@ -6,6 +6,10 @@
 //  (3) end-to-end round time of the `paper/fig04` scenario: the pre-PR
 //      baseline (naive kernels, serial round) vs the GEMM path at 1/2/4/8
 //      round threads,
+//  (4) trial set-up kernels: ns per Gaussian draw through successive
+//      `Rng::normal` calls vs `Rng::normal_fill`, `make_synthetic_images`
+//      at the scale/100k pool (200,200 x 1x12x12), and the move-based
+//      `ml::split_pool` vs a copy of both halves,
 // and writes everything to a machine-readable BENCH_kernels.json so future
 // PRs have a perf trajectory to regress against.
 //
@@ -26,6 +30,7 @@
 #include "fmore/core/scenarios.hpp"
 #include "fmore/fl/metrics.hpp"
 #include "fmore/ml/activations.hpp"
+#include "fmore/ml/dataset.hpp"
 #include "fmore/ml/conv2d.hpp"
 #include "fmore/ml/dense.hpp"
 #include "fmore/ml/dropout.hpp"
@@ -235,6 +240,65 @@ ElementwiseResult bench_elementwise(std::size_t reps) {
     return out;
 }
 
+struct SetupResult {
+    std::size_t fill_chunk = 0;  ///< draws per normal_fill call
+    double normal_loop_ns = 0.0; ///< per draw, successive normal() calls
+    double normal_fill_ns = 0.0; ///< per draw, normal_fill
+    std::size_t samples = 0;     ///< pool size of the image row
+    double images_ms = 0.0;
+    std::size_t train_n = 0;
+    double split_copy_ms = 0.0; ///< copy both halves out of the pool
+    double split_pool_ms = 0.0; ///< ml::split_pool: move train, copy the tail
+};
+
+/// Trial set-up: the Gaussian draws, the image pool and its train/test
+/// split at the scale/100k sizes (train 2 x 100k, test 200).
+SetupResult bench_setup(bool smoke, std::size_t reps) {
+    SetupResult out;
+    out.fill_chunk = 144; // one 1x12x12 image's pixel noise
+    const std::size_t chunks = smoke ? 1000 : 7000;
+    std::vector<double> buf(out.fill_chunk);
+    stats::Rng rng(21);
+    const double draws = static_cast<double>(chunks * out.fill_chunk);
+    out.normal_loop_ns = best_seconds(reps, [&] {
+        for (std::size_t c = 0; c < chunks; ++c) {
+            for (double& v : buf) v = rng.normal(0.0, 0.35);
+        }
+    }) * 1e9 / draws;
+    out.normal_fill_ns = best_seconds(reps, [&] {
+        for (std::size_t c = 0; c < chunks; ++c) rng.normal_fill(buf, 0.0, 0.35);
+    }) * 1e9 / draws;
+
+    out.samples = smoke ? 20'200 : 200'200;
+    out.train_n = out.samples - 200;
+    ml::Dataset pool;
+    const std::size_t pool_reps = smoke ? 1 : 5;
+    out.images_ms = best_seconds(pool_reps, [&] {
+        stats::Rng data_rng(22);
+        pool = ml::make_synthetic_images(ml::mnist_o_spec(out.samples), data_rng);
+    }) * 1e3;
+
+    const auto cut = static_cast<std::ptrdiff_t>(out.train_n * pool.sample_volume());
+    const auto cut_labels = static_cast<std::ptrdiff_t>(out.train_n);
+    out.split_copy_ms = best_seconds(pool_reps, [&] {
+        ml::Dataset train;
+        ml::Dataset test;
+        train.features.assign(pool.features.begin(), pool.features.begin() + cut);
+        train.labels.assign(pool.labels.begin(), pool.labels.begin() + cut_labels);
+        test.features.assign(pool.features.begin() + cut, pool.features.end());
+        test.labels.assign(pool.labels.begin() + cut_labels, pool.labels.end());
+    }) * 1e3;
+    double best = 1e300;
+    for (std::size_t r = 0; r < pool_reps; ++r) {
+        ml::Dataset victim = pool; // split_pool consumes its pool
+        const auto start = clock_type::now();
+        const auto split = ml::split_pool(std::move(victim), out.train_n);
+        best = std::min(best, seconds_since(start));
+    }
+    out.split_pool_ms = best * 1e3;
+    return out;
+}
+
 struct RoundResult {
     double naive_serial_ms = 0.0; ///< the pre-PR configuration
     double gemm_serial_ms = 0.0;
@@ -346,6 +410,19 @@ int main(int argc, char** argv) {
                 elementwise.alloc_us, elementwise.arena_us,
                 elementwise.alloc_us / elementwise.arena_us);
 
+    // (2c) Trial set-up kernels.
+    const SetupResult setup = bench_setup(smoke, reps);
+    std::cout << "\ntrial set-up (one thread):\n";
+    std::printf("  normal draw, %zu per fill: normal() %6.2f ns -> normal_fill %6.2f ns "
+                "(%.2fx)\n",
+                setup.fill_chunk, setup.normal_loop_ns, setup.normal_fill_ns,
+                setup.normal_loop_ns / setup.normal_fill_ns);
+    std::printf("  make_synthetic_images %zu x 1x12x12: %8.1f ms\n", setup.samples,
+                setup.images_ms);
+    std::printf("  train/test split at %zu/%zu: copy %6.2f ms -> split_pool %6.2f ms\n",
+                setup.train_n, setup.samples - setup.train_n, setup.split_copy_ms,
+                setup.split_pool_ms);
+
     // (3) End-to-end rounds: pre-PR baseline vs the new path at 1/2/4/8
     // round threads.
     std::cout << "\npaper/fig04 round time (ms/round, 1 trial):\n";
@@ -372,7 +449,7 @@ int main(int argc, char** argv) {
     // had so the threads rows are interpretable.
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
-    // The gemm, layer and train-step rows run on one thread.
+    // The gemm, layer, train-step and set-up rows run on one thread.
     std::fprintf(f, "  \"kernel_threads\": 1,\n  \"isa\": \"%s\",\n", util::compiled_isa());
     std::fprintf(f, "  \"gemm\": [\n");
     for (std::size_t i = 0; i < gemms.size(); ++i) {
@@ -405,6 +482,21 @@ int main(int argc, char** argv) {
                  "\"arena_us\": %.4g, \"speedup\": %.4g},\n",
                  elementwise.shape.c_str(), elementwise.alloc_us, elementwise.arena_us,
                  elementwise.alloc_us / elementwise.arena_us);
+    std::fprintf(f,
+                 "  \"setup\": {\n    \"normal_draw\": {\"fill_chunk\": %zu, "
+                 "\"normal_loop_ns\": %.4g, \"normal_fill_ns\": %.4g, \"speedup\": %.4g},\n",
+                 setup.fill_chunk, setup.normal_loop_ns, setup.normal_fill_ns,
+                 setup.normal_loop_ns / setup.normal_fill_ns);
+    std::fprintf(f,
+                 "    \"synthetic_images\": {\"samples\": %zu, \"shape\": \"1x12x12\", "
+                 "\"ms\": %.4g, \"ns_per_pixel\": %.4g},\n",
+                 setup.samples, setup.images_ms,
+                 setup.images_ms * 1e6 / static_cast<double>(setup.samples * 144));
+    std::fprintf(f,
+                 "    \"split_pool\": {\"train\": %zu, \"test\": %zu, \"copy_ms\": %.4g, "
+                 "\"split_pool_ms\": %.4g, \"speedup\": %.4g}\n  },\n",
+                 setup.train_n, setup.samples - setup.train_n, setup.split_copy_ms,
+                 setup.split_pool_ms, setup.split_copy_ms / setup.split_pool_ms);
     std::fprintf(f, "  \"round\": {\n    \"scenario\": \"paper/fig04\",\n");
     std::fprintf(f, "    \"baseline_naive_serial_ms\": %.4g,\n", round.naive_serial_ms);
     std::fprintf(f, "    \"gemm_serial_ms\": %.4g,\n", round.gemm_serial_ms);

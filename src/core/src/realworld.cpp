@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "checkpoint_hooks.hpp"
 #include "fmore/core/experiment.hpp"
@@ -61,23 +62,7 @@ RealWorldTrial::RealWorldTrial(const RealWorldConfig& config, std::size_t trial_
         spec.prototype_overlap = 0.35;
         pool = ml::make_synthetic_images(spec, data_rng);
     }
-    const std::size_t vol = pool.sample_volume();
-    train_.sample_shape = pool.sample_shape;
-    train_.num_classes = pool.num_classes;
-    train_.features.assign(
-        pool.features.begin(),
-        pool.features.begin() + static_cast<std::ptrdiff_t>(config_.train_samples * vol));
-    train_.labels.assign(pool.labels.begin(),
-                         pool.labels.begin()
-                             + static_cast<std::ptrdiff_t>(config_.train_samples));
-    test_.sample_shape = pool.sample_shape;
-    test_.num_classes = pool.num_classes;
-    test_.features.assign(
-        pool.features.begin() + static_cast<std::ptrdiff_t>(config_.train_samples * vol),
-        pool.features.end());
-    test_.labels.assign(pool.labels.begin()
-                            + static_cast<std::ptrdiff_t>(config_.train_samples),
-                        pool.labels.end());
+    std::tie(train_, test_) = ml::split_pool(std::move(pool), config_.train_samples);
 
     // Unlike the simulator, the testbed is NOT label-sharded: Section V.A
     // only describes non-IID splits for the simulator, while the testbed

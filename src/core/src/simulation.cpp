@@ -37,22 +37,7 @@ std::pair<ml::Dataset, ml::Dataset> make_dataset(DatasetKind kind, std::size_t t
             pool = ml::make_synthetic_text(ml::hpnews_spec(total), rng);
             break;
     }
-    const std::size_t vol = pool.sample_volume();
-    ml::Dataset train;
-    train.sample_shape = pool.sample_shape;
-    train.num_classes = pool.num_classes;
-    train.features.assign(pool.features.begin(),
-                          pool.features.begin() + static_cast<std::ptrdiff_t>(train_n * vol));
-    train.labels.assign(pool.labels.begin(),
-                        pool.labels.begin() + static_cast<std::ptrdiff_t>(train_n));
-    ml::Dataset test;
-    test.sample_shape = pool.sample_shape;
-    test.num_classes = pool.num_classes;
-    test.features.assign(pool.features.begin() + static_cast<std::ptrdiff_t>(train_n * vol),
-                         pool.features.end());
-    test.labels.assign(pool.labels.begin() + static_cast<std::ptrdiff_t>(train_n),
-                       pool.labels.end());
-    return {std::move(train), std::move(test)};
+    return ml::split_pool(std::move(pool), train_n);
 }
 
 /// Every input of the simulator's equilibrium tabulation, hex-exact.

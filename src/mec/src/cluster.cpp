@@ -28,11 +28,9 @@ ClusterTimeModel::ClusterTimeModel(const MecPopulation& population,
     // identities are then a pure function of the factor seed, independent
     // of which rounds or policies later query the model.
     if (config_.latency_spread > 0.0) {
-        latency_factors_.reserve(population_.size());
-        for (std::size_t i = 0; i < population_.size(); ++i) {
-            latency_factors_.push_back(
-                std::exp(config_.latency_spread * factor_rng.normal(0.0, 1.0)));
-        }
+        latency_factors_.resize(population_.size());
+        factor_rng.normal_fill(latency_factors_, 0.0, 1.0);
+        for (double& f : latency_factors_) f = std::exp(config_.latency_spread * f);
     }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "fmore/ml/tensor.hpp"
@@ -23,9 +24,12 @@ struct Dataset {
     /// indices.
     [[nodiscard]] Tensor gather(const std::vector<std::size_t>& indices) const;
     [[nodiscard]] std::vector<int> gather_labels(const std::vector<std::size_t>& indices) const;
-
-    /// Append one sample (used by generators).
-    void push_sample(const std::vector<float>& feat, int label);
 };
+
+/// Split one generated pool into {train, test}: train is its first
+/// `train_n` samples, test the rest, so both share the generator's class
+/// prototypes. Train takes over the pool's storage; only the test tail is
+/// copied. Throws std::invalid_argument if `train_n` exceeds the pool.
+std::pair<Dataset, Dataset> split_pool(Dataset&& pool, std::size_t train_n);
 
 } // namespace fmore::ml

@@ -17,6 +17,13 @@ struct ClientShard {
     [[nodiscard]] double category_proportion(std::size_t num_classes) const;
 };
 
+/// Sample indices grouped by label, ascending, ties in index order: the
+/// permutation `std::stable_sort` by label yields, built by a counting sort
+/// in O(n + num_classes). Throws std::invalid_argument for a label outside
+/// [0, num_classes).
+std::vector<std::size_t> order_by_label(const std::vector<int>& labels,
+                                        std::size_t num_classes);
+
 /// Label-sharded non-IID partition in the style of McMahan et al. (the
 /// paper: "non-IID data distribution of sample data is studied across
 /// different edge nodes"). The dataset is sorted by label, cut into

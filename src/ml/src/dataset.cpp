@@ -29,11 +29,19 @@ std::vector<int> Dataset::gather_labels(const std::vector<std::size_t>& indices)
     return out;
 }
 
-void Dataset::push_sample(const std::vector<float>& feat, int label) {
-    if (feat.size() != sample_volume())
-        throw std::invalid_argument("Dataset::push_sample: feature size mismatch");
-    features.insert(features.end(), feat.begin(), feat.end());
-    labels.push_back(label);
+std::pair<Dataset, Dataset> split_pool(Dataset&& pool, std::size_t train_n) {
+    if (train_n > pool.size()) throw std::invalid_argument("split_pool: train_n > pool size");
+    const auto tail = static_cast<std::ptrdiff_t>(train_n * pool.sample_volume());
+    Dataset test;
+    test.sample_shape = pool.sample_shape;
+    test.num_classes = pool.num_classes;
+    test.features.assign(pool.features.begin() + tail, pool.features.end());
+    test.labels.assign(pool.labels.begin() + static_cast<std::ptrdiff_t>(train_n),
+                       pool.labels.end());
+    Dataset train = std::move(pool);
+    train.features.resize(static_cast<std::size_t>(tail));
+    train.labels.resize(train_n);
+    return {std::move(train), std::move(test)};
 }
 
 } // namespace fmore::ml

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace fmore::ml {
 
@@ -15,7 +16,9 @@ Embedding::Embedding(std::size_t vocab_size, std::size_t embed_dim)
 
 void Embedding::initialize(stats::Rng& rng) {
     const double scale = 1.0 / std::sqrt(static_cast<double>(dim_));
-    for (float& w : table_) w = static_cast<float>(rng.normal(0.0, scale));
+    std::vector<double> draws(table_.size());
+    rng.normal_fill(draws, 0.0, scale);
+    for (std::size_t i = 0; i < table_.size(); ++i) table_[i] = static_cast<float>(draws[i]);
 }
 
 Tensor Embedding::forward(const Tensor& input, bool /*training*/) {

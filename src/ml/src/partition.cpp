@@ -1,6 +1,5 @@
 #include "fmore/ml/partition.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -30,6 +29,24 @@ void rebuild_label_histogram(ClientShard& shard, const Dataset& data) {
 
 } // namespace
 
+std::vector<std::size_t> order_by_label(const std::vector<int>& labels,
+                                        std::size_t num_classes) {
+    // Counting sort: histogram, exclusive prefix sum into bucket starts,
+    // then one stable scatter in index order.
+    std::vector<std::size_t> start(num_classes + 1, 0);
+    for (const int l : labels) {
+        if (l < 0 || static_cast<std::size_t>(l) >= num_classes)
+            throw std::invalid_argument("order_by_label: label outside [0, num_classes)");
+        ++start[static_cast<std::size_t>(l) + 1];
+    }
+    for (std::size_t c = 1; c <= num_classes; ++c) start[c] += start[c - 1];
+    std::vector<std::size_t> order(labels.size());
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        order[start[static_cast<std::size_t>(labels[i])]++] = i;
+    }
+    return order;
+}
+
 std::vector<ClientShard> partition_non_iid(const Dataset& data, std::size_t clients,
                                            std::size_t shards_per_client, stats::Rng& rng) {
     if (clients == 0 || shards_per_client == 0)
@@ -38,12 +55,7 @@ std::vector<ClientShard> partition_non_iid(const Dataset& data, std::size_t clie
     if (data.size() < total_shards)
         throw std::invalid_argument("partition_non_iid: dataset smaller than shard count");
 
-    // Sort sample indices by label (ties in original order).
-    std::vector<std::size_t> by_label(data.size());
-    std::iota(by_label.begin(), by_label.end(), std::size_t{0});
-    std::stable_sort(by_label.begin(), by_label.end(), [&](std::size_t a, std::size_t b) {
-        return data.labels[a] < data.labels[b];
-    });
+    const std::vector<std::size_t> by_label = order_by_label(data.labels, data.num_classes);
 
     // Cut into contiguous shards and deal them out randomly.
     std::vector<std::size_t> shard_order(total_shards);
@@ -87,11 +99,7 @@ std::vector<ClientShard> partition_non_iid_variable(const Dataset& data,
     if (data.size() < total_shards)
         throw std::invalid_argument("partition_non_iid_variable: dataset too small");
 
-    std::vector<std::size_t> by_label(data.size());
-    std::iota(by_label.begin(), by_label.end(), std::size_t{0});
-    std::stable_sort(by_label.begin(), by_label.end(), [&](std::size_t a, std::size_t b) {
-        return data.labels[a] < data.labels[b];
-    });
+    const std::vector<std::size_t> by_label = order_by_label(data.labels, data.num_classes);
 
     std::vector<std::size_t> shard_order(total_shards);
     std::iota(shard_order.begin(), shard_order.end(), std::size_t{0});

@@ -42,8 +42,9 @@ Dataset make_synthetic_images(const ImageDatasetSpec& spec, stats::Rng& rng) {
     Dataset data;
     data.sample_shape = {spec.channels, spec.height, spec.width};
     data.num_classes = spec.classes;
-    data.features.reserve(spec.samples * data.sample_volume());
-    data.labels.reserve(spec.samples);
+    const std::size_t vol = data.sample_volume();
+    data.features.resize(spec.samples * vol);
+    data.labels.resize(spec.samples);
 
     std::vector<std::vector<float>> prototypes;
     prototypes.reserve(spec.classes);
@@ -52,18 +53,25 @@ Dataset make_synthetic_images(const ImageDatasetSpec& spec, stats::Rng& rng) {
     }
     const std::vector<float> confuser = make_prototype(spec, rng);
 
-    const std::size_t vol = data.sample_volume();
-    std::vector<float> sample(vol);
+    // Each class's noise-free base image, blended once in double.
+    const double blend = spec.prototype_overlap;
+    std::vector<double> bases(spec.classes * vol);
+    for (std::size_t c = 0; c < spec.classes; ++c) {
+        for (std::size_t j = 0; j < vol; ++j) {
+            bases[c * vol + j] = (1.0 - blend) * prototypes[c][j] + blend * confuser[j];
+        }
+    }
+
+    // Per sample: the label draw, then its `vol` pixel-noise draws.
+    std::vector<double> noise(vol);
     for (std::size_t i = 0; i < spec.samples; ++i) {
         const auto label = static_cast<int>(
             rng.uniform_int(0, static_cast<std::int64_t>(spec.classes) - 1));
-        const std::vector<float>& proto = prototypes[static_cast<std::size_t>(label)];
-        const double blend = spec.prototype_overlap;
-        for (std::size_t j = 0; j < vol; ++j) {
-            const double base = (1.0 - blend) * proto[j] + blend * confuser[j];
-            sample[j] = static_cast<float>(base + rng.normal(0.0, spec.noise));
-        }
-        data.push_sample(sample, label);
+        rng.normal_fill(noise, 0.0, spec.noise);
+        const double* base = bases.data() + static_cast<std::size_t>(label) * vol;
+        float* out = data.features.data() + i * vol;
+        for (std::size_t j = 0; j < vol; ++j) out[j] = static_cast<float>(base[j] + noise[j]);
+        data.labels[i] = label;
     }
     return data;
 }

@@ -13,16 +13,17 @@ namespace {
 /// between the uniform chain and a strongly peaked one.
 std::vector<double> make_transition_matrix(std::size_t vocab, double sharpness,
                                            stats::Rng& rng) {
-    std::vector<double> matrix(vocab * vocab, 0.0);
+    std::vector<double> matrix(vocab * vocab);
+    rng.normal_fill(matrix, 0.0, 1.0);
     const double temperature = 0.05 + (1.0 - sharpness) * 2.0;
     for (std::size_t from = 0; from < vocab; ++from) {
+        double* row = matrix.data() + from * vocab;
         double denom = 0.0;
         for (std::size_t to = 0; to < vocab; ++to) {
-            const double e = std::exp(rng.normal(0.0, 1.0) / temperature);
-            matrix[from * vocab + to] = e;
-            denom += e;
+            row[to] = std::exp(row[to] / temperature);
+            denom += row[to];
         }
-        for (std::size_t to = 0; to < vocab; ++to) matrix[from * vocab + to] /= denom;
+        for (std::size_t to = 0; to < vocab; ++to) row[to] /= denom;
     }
     return matrix;
 }
@@ -48,8 +49,8 @@ Dataset make_synthetic_text(const TextDatasetSpec& spec, stats::Rng& rng) {
     Dataset data;
     data.sample_shape = {spec.seq_len};
     data.num_classes = spec.classes;
-    data.features.reserve(spec.samples * spec.seq_len);
-    data.labels.reserve(spec.samples);
+    data.features.resize(spec.samples * spec.seq_len);
+    data.labels.resize(spec.samples);
 
     std::vector<std::vector<double>> chains;
     chains.reserve(spec.classes);
@@ -57,19 +58,19 @@ Dataset make_synthetic_text(const TextDatasetSpec& spec, stats::Rng& rng) {
         chains.push_back(make_transition_matrix(spec.vocab, spec.sharpness, rng));
     }
 
-    std::vector<float> sample(spec.seq_len);
     for (std::size_t i = 0; i < spec.samples; ++i) {
         const auto label = static_cast<int>(
             rng.uniform_int(0, static_cast<std::int64_t>(spec.classes) - 1));
         const std::vector<double>& chain = chains[static_cast<std::size_t>(label)];
         auto token = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(spec.vocab) - 1));
+        float* sample = data.features.data() + i * spec.seq_len;
         sample[0] = static_cast<float>(token);
         for (std::size_t t = 1; t < spec.seq_len; ++t) {
             token = sample_row(chain, spec.vocab, token, rng);
             sample[t] = static_cast<float>(token);
         }
-        data.push_sample(sample, label);
+        data.labels[i] = label;
     }
     return data;
 }

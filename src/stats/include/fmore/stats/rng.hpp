@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace fmore::stats {
@@ -27,6 +28,15 @@ public:
 
     /// Standard normal draw scaled to (mean, stddev).
     double normal(double mean, double stddev);
+
+    /// Fill `out` with normal draws scaled to (mean, stddev): bit-identical
+    /// to `out.size()` successive `normal(mean, stddev)` calls, and it
+    /// leaves the engine in the same state. The per-call Marsaglia polar
+    /// loop mispredicts its rejection branch and serializes its
+    /// log/div/sqrt chain; this fill draws the engine outputs in batches,
+    /// compacts the accepted pairs without branches and then runs the
+    /// transcendental stages as straight loops.
+    void normal_fill(std::span<double> out, double mean, double stddev);
 
     /// Bernoulli trial; the paper's coin flip for score ties and the
     /// psi-FMore per-node acceptance test.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fmore/mec/cluster.hpp"
 #include "fmore/ml/synthetic.hpp"
 
@@ -134,6 +136,20 @@ TEST_F(ClusterTest, LatencyFactorsAreDeterministicAndHeterogeneous) {
         if (a.latency_factor(i) != a.latency_factor(0)) heterogeneous = true;
     }
     EXPECT_TRUE(heterogeneous);
+}
+
+TEST_F(ClusterTest, LatencyFactorsMatchPerNodeNormalDraws) {
+    // The bulk fill must reproduce the per-node loop it replaced:
+    // exp(spread * normal(0, 1)) in population order, same engine state.
+    ClusterTimeConfig cfg;
+    cfg.latency_spread = 0.7;
+    stats::Rng rng(17);
+    const ClusterTimeModel model(*population_, cfg, false, rng);
+    stats::Rng oracle(17);
+    for (std::size_t i = 0; i < population_->size(); ++i) {
+        EXPECT_EQ(model.latency_factor(i), std::exp(0.7 * oracle.normal(0.0, 1.0)));
+    }
+    EXPECT_EQ(rng.engine()(), oracle.engine()());
 }
 
 TEST_F(ClusterTest, ClientSecondsScaleWithTheStragglerFactor) {

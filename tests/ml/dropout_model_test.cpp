@@ -54,7 +54,8 @@ TEST(DropoutModel, StillLearnsSeparableTask) {
         const int label = i % 3;
         for (auto& f : feat) f = static_cast<float>(rng.uniform(-0.3, 0.3));
         feat[static_cast<std::size_t>(label)] += 2.0F;
-        data.push_sample(feat, label);
+        data.features.insert(data.features.end(), feat.begin(), feat.end());
+        data.labels.push_back(label);
     }
     std::vector<std::size_t> idx(90);
     for (std::size_t i = 0; i < 90; ++i) idx[i] = i;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fmore/ml/activations.hpp"
 #include "fmore/ml/conv2d.hpp"
 #include "fmore/ml/dense.hpp"
@@ -157,6 +159,21 @@ TEST(EmbeddingLayer, BackwardScattersIntoRows) {
 TEST(EmbeddingLayer, RejectsOutOfVocab) {
     Embedding emb(3, 2);
     EXPECT_THROW(emb.forward(Tensor({1, 1}, {5.0F}), false), std::out_of_range);
+}
+
+TEST(EmbeddingLayer, InitializeMatchesPerElementNormalDraws) {
+    // The bulk fill must reproduce the per-element loop it replaced:
+    // float(normal(0, 1/sqrt(dim))) in row-major order, same engine state.
+    Embedding emb(32, 16);
+    stats::Rng rng(21);
+    emb.initialize(rng);
+    stats::Rng oracle(21);
+    const double scale = 1.0 / std::sqrt(16.0);
+    const std::vector<float>& table = *emb.parameters()[0].values;
+    for (const float w : table) {
+        ASSERT_EQ(w, static_cast<float>(oracle.normal(0.0, scale)));
+    }
+    EXPECT_EQ(rng.engine()(), oracle.engine()());
 }
 
 TEST(LstmLayer, OutputShapeAndFiniteness) {

@@ -58,7 +58,8 @@ TEST(Model, SgdStepMovesAgainstGradient) {
         const int label = i % 3;
         for (auto& f : feat) f = static_cast<float>(rng.uniform(-1.0, 1.0));
         feat[static_cast<std::size_t>(label)] += 2.0F; // separable signal
-        data.push_sample(feat, label);
+        data.features.insert(data.features.end(), feat.begin(), feat.end());
+        data.labels.push_back(label);
     }
     std::vector<std::size_t> idx(32);
     for (std::size_t i = 0; i < 32; ++i) idx[i] = i;
@@ -75,7 +76,8 @@ TEST(Model, TrainEpochHandlesEdgeCases) {
     Dataset data;
     data.sample_shape = {4};
     data.num_classes = 3;
-    data.push_sample({1.0F, 0.0F, 0.0F, 0.0F}, 0);
+    data.features = {1.0F, 0.0F, 0.0F, 0.0F};
+    data.labels = {0};
     const TrainStats empty = model.train_epoch(data, {}, 8, 0.1);
     EXPECT_EQ(empty.samples, 0u);
     EXPECT_THROW(model.train_epoch(data, {0}, 0, 0.1), std::invalid_argument);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -118,6 +119,73 @@ TEST(ResizeShards, RespectsBoundsAndRebuildsHistograms) {
         EXPECT_EQ(total, shard.indices.size());
     }
     EXPECT_THROW(resize_shards(shards, data, 50, 40, rng), std::invalid_argument);
+}
+
+/// The comparison sort the counting sort replaced, kept as its oracle.
+std::vector<std::size_t> stable_sort_oracle(const std::vector<int>& labels) {
+    std::vector<std::size_t> order(labels.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return labels[a] < labels[b]; });
+    return order;
+}
+
+TEST(OrderByLabel, MatchesStableSortOracle) {
+    stats::Rng rng(31);
+    for (const std::size_t classes : {1, 2, 10, 37}) {
+        for (const std::size_t n : {0, 1, 9, 500, 4096}) {
+            std::vector<int> labels(n);
+            // Draw from the lower half of the classes only when there are
+            // several, so empty buckets (including the top ones) occur.
+            const auto hi = static_cast<std::int64_t>(classes > 2 ? classes / 2 : classes) - 1;
+            for (int& l : labels) l = static_cast<int>(rng.uniform_int(0, hi));
+            EXPECT_EQ(order_by_label(labels, classes), stable_sort_oracle(labels))
+                << "classes=" << classes << " n=" << n;
+        }
+    }
+}
+
+TEST(OrderByLabel, SingleClassKeepsIndexOrder) {
+    const std::vector<int> labels(50, 0);
+    const std::vector<std::size_t> order = order_by_label(labels, 1);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(OrderByLabel, RejectsLabelsOutsideClassRange) {
+    EXPECT_THROW((void)order_by_label({0, 1, 3}, 3), std::invalid_argument);
+    EXPECT_THROW((void)order_by_label({0, -1}, 3), std::invalid_argument);
+    EXPECT_THROW((void)order_by_label({0}, 0), std::invalid_argument);
+    Dataset data = image_data(100, 4);
+    data.labels[17] = static_cast<int>(data.num_classes);
+    stats::Rng rng(1);
+    EXPECT_THROW((void)partition_non_iid(data, 5, 2, rng), std::invalid_argument);
+    EXPECT_THROW((void)partition_non_iid_variable(data, 5, 1, 2, rng), std::invalid_argument);
+}
+
+TEST(SplitPool, MovesTrainAndCopiesTestTail) {
+    Dataset pool = image_data(50, 8);
+    const Dataset whole = pool;
+    const float* storage = pool.features.data();
+    auto [train, test] = split_pool(std::move(pool), 42);
+    const std::size_t vol = whole.sample_volume();
+    EXPECT_EQ(train.features.data(), storage) << "train must take over the pool's buffer";
+    EXPECT_EQ(train.size(), 42u);
+    EXPECT_EQ(test.size(), 8u);
+    for (const Dataset* part : {&train, &test}) {
+        EXPECT_EQ(part->sample_shape, whole.sample_shape);
+        EXPECT_EQ(part->num_classes, whole.num_classes);
+    }
+    EXPECT_TRUE(std::equal(train.features.begin(), train.features.end(), whole.features.begin()));
+    EXPECT_TRUE(std::equal(test.features.begin(), test.features.end(),
+                           whole.features.begin() + 42 * static_cast<std::ptrdiff_t>(vol)));
+    EXPECT_EQ(train.features.size(), 42 * vol);
+    EXPECT_EQ(test.features.size(), 8 * vol);
+    EXPECT_TRUE(std::equal(test.labels.begin(), test.labels.end(), whole.labels.begin() + 42));
+
+    auto [all, none] = split_pool(image_data(10, 8), 10);
+    EXPECT_EQ(all.size(), 10u);
+    EXPECT_EQ(none.size(), 0u);
+    EXPECT_THROW((void)split_pool(image_data(10, 8), 11), std::invalid_argument);
 }
 
 TEST(ClientShard, DistinctLabelHelpers) {
