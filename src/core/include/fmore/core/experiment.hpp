@@ -1,28 +1,46 @@
 #pragma once
 
 /// @file experiment.hpp
-/// The unified experiment surface: one `ExperimentSpec` composed of
-/// sub-specs (population, auction, training, timing) subsumes the legacy
-/// `SimulationConfig` / `RealWorldConfig` pair. Specs serialize to and
-/// parse from key=value text, validate with actionable messages, and drive
-/// trials through `ExperimentTrial` — the facade benches, examples and the
-/// `run_scenario` CLI all share. Named presets live in scenarios.hpp.
+/// The experiment surface: one `ExperimentSpec` composed of sub-specs
+/// (population, auction, training, timing) describes a simulator or a
+/// testbed run. Specs serialize to and parse from key=value text, validate
+/// with actionable messages, and run through `ExperimentTrial`, the one
+/// trial engine benches, examples and the `run_scenario` CLI all share.
+/// Named presets live in scenarios.hpp.
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fmore/auction/types.hpp"
 #include "fmore/auction/win_probability.hpp"
-#include "fmore/core/config.hpp"
-#include "fmore/core/realworld.hpp"
-#include "fmore/core/simulation.hpp"
+#include "fmore/core/equilibrium_cache.hpp"
 #include "fmore/fl/metrics.hpp"
 #include "fmore/fl/round_mode.hpp"
+#include "fmore/fl/selection.hpp"
+#include "fmore/mec/arrival_model.hpp"
+#include "fmore/mec/population.hpp"
+#include "fmore/ml/dataset.hpp"
+#include "fmore/ml/model.hpp"
+#include "fmore/ml/partition.hpp"
+#include "fmore/stats/distributions.hpp"
 
 namespace fmore::core {
 
 struct RunCheckpoint;  // run_checkpoint.hpp
+
+/// The paper's four workloads (Section V.A). The image datasets are the
+/// synthetic stand-ins documented in DESIGN.md.
+enum class DatasetKind : std::uint8_t {
+    mnist_o, ///< MNIST, CNN
+    mnist_f, ///< Fashion-MNIST, CNN
+    cifar10, ///< CIFAR-10, deeper CNN
+    hpnews,  ///< HuffPost news categories, LSTM
+};
+
+[[nodiscard]] std::string to_string(DatasetKind kind);
 
 /// Which of the paper's two worlds the spec assembles. The kind picks the
 /// scoring family and data split the paper ties to each setup: `simulation`
@@ -236,23 +254,21 @@ struct ExperimentSpec {
 
 [[nodiscard]] std::string to_string(ExperimentKind kind);
 
-/// Simulator defaults for `dataset` with the per-dataset hyperparameters
-/// applied — spec-level twin of `default_simulation`.
+/// The paper's simulator (Section V.A): N = 100 nodes, K = 20 winners,
+/// scoring S = alpha * q1 * q2 - p with alpha = 25 over (data size,
+/// category proportion), non-IID label shards, on `dataset` with the
+/// per-dataset hyperparameters applied (the LSTM needs a larger SGD step
+/// than the CNNs under plain SGD). Sample counts are scaled down from the
+/// paper's datasets so a full multi-trial sweep runs in seconds; what
+/// FMore buys versus what random selection gets is unaffected by the
+/// global scale.
 [[nodiscard]] ExperimentSpec default_experiment(DatasetKind dataset);
-/// Testbed defaults — spec-level twin of `RealWorldConfig{}`.
+/// The paper's 32-machine testbed (Sections V.A/V.C): 31 edge nodes and
+/// one aggregator, scoring S = 0.4 q_cpu + 0.3 q_bw + 0.3 q_data - p, a
+/// switched 1 Gbps LAN wall-clock model and IID shards of heterogeneous
+/// size, training CIFAR-10. The paper does not state the testbed's K; it
+/// is 8 here (~25% of nodes, close to the simulator's 20%).
 [[nodiscard]] ExperimentSpec default_testbed_experiment();
-
-// ---------------------------------------------------------------------------
-// Compatibility shims — the only sanctioned way to build the legacy config
-// structs. Everything outside src/core should hold an ExperimentSpec.
-// ---------------------------------------------------------------------------
-
-/// @throws std::invalid_argument when `spec.kind` is not `simulation`
-[[nodiscard]] SimulationConfig to_simulation_config(const ExperimentSpec& spec);
-/// @throws std::invalid_argument when `spec.kind` is not `testbed`
-[[nodiscard]] RealWorldConfig to_realworld_config(const ExperimentSpec& spec);
-[[nodiscard]] ExperimentSpec from_simulation_config(const SimulationConfig& config);
-[[nodiscard]] ExperimentSpec from_realworld_config(const RealWorldConfig& config);
 
 // ---------------------------------------------------------------------------
 // Validation
@@ -291,10 +307,16 @@ void apply_key_value(ExperimentSpec& spec, const std::string& key,
 // Running a spec
 // ---------------------------------------------------------------------------
 
-/// One fully-assembled trial of `spec` — the facade over the simulator and
-/// testbed engines. Construction validates the spec (throwing with every
-/// problem listed), builds the world for `trial_index` and reuses any
-/// cached equilibrium tabulation (equilibrium_cache.hpp).
+/// One fully-assembled trial of `spec`: dataset, shards, MEC population,
+/// solved equilibrium, model and coordinator. `spec.kind` picks the
+/// paper's world: the simulator's scaled-product scoring over non-IID
+/// label shards, or the testbed's additive cpu/bandwidth/data scoring over
+/// IID shards with a wall-clock model (the only kind with semi-sync/async
+/// rounds and streaming markets). Construction validates the spec
+/// (throwing with every problem listed), builds the world for
+/// `trial_index` and reuses any cached equilibrium tabulation
+/// (equilibrium_cache.hpp). Trials with distinct indices share nothing
+/// mutable, so the trial runner builds them concurrently.
 class ExperimentTrial {
 public:
     ExperimentTrial(const ExperimentSpec& spec, std::size_t trial_index);
@@ -303,34 +325,51 @@ public:
     /// ("fmore", "psi_fmore", "randfl", "fixfl", or any PolicyRegistry
     /// registration). Each call re-initializes the model and population
     /// from the trial seed, so policies compared within a trial start from
-    /// identical state.
+    /// identical state. `run(policy)` is `run_resumable(policy, nullptr)`.
     [[nodiscard]] fl::RunResult run(const std::string& policy);
-    /// Legacy-enum overload.
-    [[nodiscard]] fl::RunResult run(Strategy strategy);
 
     /// `run(policy)` with durable-run support: when `resume_from` is
     /// non-null the trial restores the checkpointed state and continues
-    /// from the next round (bit-identical to an uninterrupted run); either
-    /// way, `timing.checkpoint_every > 0` writes checkpoints as rounds
-    /// complete. @throws std::invalid_argument when the checkpoint belongs
-    /// to a different spec or policy.
+    /// from the next round (bit-identical to an uninterrupted run, in every
+    /// coordinator lane; see docs/ARCHITECTURE.md, "Durability model");
+    /// either way, `timing.checkpoint_every > 0` writes checkpoints as
+    /// rounds complete. @throws std::invalid_argument when the checkpoint
+    /// belongs to a different spec or policy.
     [[nodiscard]] fl::RunResult run_resumable(const std::string& policy,
                                               const RunCheckpoint* resume_from);
 
     /// Sealed-bid score board of the last auction-backed round (Fig. 8).
-    [[nodiscard]] const std::vector<double>& last_all_scores() const;
+    [[nodiscard]] const std::vector<double>& last_all_scores() const {
+        return last_all_scores_;
+    }
     /// Per-client shards of this trial's world.
-    [[nodiscard]] const std::vector<ml::ClientShard>& shards() const;
+    [[nodiscard]] const std::vector<ml::ClientShard>& shards() const { return shards_; }
+    [[nodiscard]] const ml::Dataset& train_set() const { return train_; }
+    [[nodiscard]] const ml::Dataset& test_set() const { return test_; }
+    [[nodiscard]] const auction::EquilibriumStrategy& equilibrium() const {
+        return solved_->strategy;
+    }
 
     [[nodiscard]] const ExperimentSpec& spec() const { return spec_; }
 
 private:
-    ExperimentSpec spec_;
-    std::unique_ptr<SimulationTrial> simulation_;
-    std::unique_ptr<RealWorldTrial> testbed_;
-};
+    [[nodiscard]] ml::Model make_model(std::uint64_t seed) const;
+    [[nodiscard]] std::unique_ptr<fl::ClientSelector> make_auction_selector(
+        bool probabilistic_acceptance) const;
+    /// Per-node expected bid latency in seconds (testbed only).
+    [[nodiscard]] std::vector<double> bid_latency_table() const;
+    void rebuild_population();
 
-/// Registry name of the selection policy a legacy Strategy maps to.
-[[nodiscard]] std::string to_policy_name(Strategy strategy);
+    const ExperimentSpec spec_;
+    std::size_t trial_index_;
+    std::uint64_t trial_seed_;
+    ml::Dataset train_;
+    ml::Dataset test_;
+    std::vector<ml::ClientShard> shards_;
+    std::unique_ptr<stats::UniformDistribution> theta_dist_;
+    std::shared_ptr<const SolvedEquilibrium> solved_;
+    std::unique_ptr<mec::MecPopulation> population_;
+    std::vector<double> last_all_scores_;
+};
 
 } // namespace fmore::core

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "fmore/core/config.hpp"
 #include "fmore/core/experiment.hpp"
 #include "fmore/fl/metrics.hpp"
 
@@ -71,8 +70,8 @@ struct TrialRunnerOptions {
 
 /// One unit of work: build and run trial `trial_index`, return its history.
 /// Must be safe to call concurrently from multiple threads with distinct
-/// indices (the SimulationTrial / RealWorldTrial factories are: each trial
-/// owns its dataset, population, model and RNG streams).
+/// indices (`ExperimentTrial` is: each trial owns its dataset, population,
+/// model and RNG streams).
 using TrialFn = std::function<fl::RunResult(std::size_t trial_index)>;
 
 /// Resolve the effective worker count `run_trials` will use for `trials`
@@ -100,23 +99,10 @@ using TrialFn = std::function<fl::RunResult(std::size_t trial_index)>;
 std::vector<fl::RunResult> run_trials(std::size_t trials, const TrialFn& fn,
                                       const TrialRunnerOptions& options = {});
 
-/// `run_trials` over `SimulationTrial` — the paper's N=100 simulator
-/// (Figs. 4-11). Equivalent to the old serial loop
-/// `for t: SimulationTrial(config, t).run(strategy)` but parallel.
-std::vector<fl::RunResult> run_simulation_trials(const SimulationConfig& config,
-                                                 Strategy strategy, std::size_t trials,
-                                                 const TrialRunnerOptions& options = {});
-
-/// `run_trials` over `RealWorldTrial` — the 31-node testbed reproduction
-/// with the wall-clock model (Figs. 12-13).
-std::vector<fl::RunResult> run_realworld_trials(const RealWorldConfig& config,
-                                                Strategy strategy, std::size_t trials,
-                                                const TrialRunnerOptions& options = {});
-
-/// `run_trials` over `ExperimentTrial` — the unified entry point: builds
-/// the spec's world (simulator or testbed) per trial index and runs the
-/// named selection policy. Everything spec-driven (benches, examples,
-/// run_scenario) goes through here.
+/// `run_trials` over `ExperimentTrial`: builds the spec's world (simulator
+/// or testbed) per trial index and runs the named selection policy.
+/// Everything spec-driven (benches, examples, run_scenario) goes through
+/// here.
 std::vector<fl::RunResult> run_experiment_trials(const ExperimentSpec& spec,
                                                  const std::string& policy,
                                                  std::size_t trials,
@@ -127,11 +113,5 @@ std::vector<fl::RunResult> run_experiment_trials(const ExperimentSpec& spec,
 AveragedSeries averaged_experiment(const ExperimentSpec& spec, const std::string& policy,
                                    std::size_t trials,
                                    const TrialRunnerOptions& options = {});
-AveragedSeries averaged_simulation(const SimulationConfig& config, Strategy strategy,
-                                   std::size_t trials,
-                                   const TrialRunnerOptions& options = {});
-AveragedSeries averaged_realworld(const RealWorldConfig& config, Strategy strategy,
-                                  std::size_t trials,
-                                  const TrialRunnerOptions& options = {});
 
 } // namespace fmore::core

@@ -1,10 +1,10 @@
 #pragma once
 
 /// @file checkpoint_hooks.hpp (internal to fmore_core)
-/// Shared plumbing between SimulationTrial and RealWorldTrial for durable
-/// runs: RNG state (de)serialization, RunControl seeding from a loaded
-/// core::RunCheckpoint, and the on_round hook that writes checkpoints on
-/// the timing.checkpoint_every cadence — and fires the deterministic
+/// Durable-run plumbing of the trial engine (ExperimentTrial): RNG state
+/// (de)serialization, RunControl seeding from a loaded core::RunCheckpoint,
+/// and the on_round hook that writes checkpoints on the
+/// timing.checkpoint_every cadence — and fires the deterministic
 /// coordinator-kill faults of the crash-recovery harness.
 
 #include <csignal>

@@ -9,9 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "fmore/core/realworld.hpp"
 #include "fmore/core/report.hpp"
-#include "fmore/core/simulation.hpp"
 #include "fmore/util/thread_pool.hpp"
 
 namespace fmore::core {
@@ -173,30 +171,6 @@ std::vector<fl::RunResult> run_trials(std::size_t trials, const TrialFn& fn,
     return results;
 }
 
-std::vector<fl::RunResult> run_simulation_trials(const SimulationConfig& config,
-                                                 Strategy strategy, std::size_t trials,
-                                                 const TrialRunnerOptions& options) {
-    return run_trials(
-        trials,
-        [&config, strategy](std::size_t t) {
-            SimulationTrial trial(config, t);
-            return trial.run(strategy);
-        },
-        options);
-}
-
-std::vector<fl::RunResult> run_realworld_trials(const RealWorldConfig& config,
-                                                Strategy strategy, std::size_t trials,
-                                                const TrialRunnerOptions& options) {
-    return run_trials(
-        trials,
-        [&config, strategy](std::size_t t) {
-            RealWorldTrial trial(config, t);
-            return trial.run(strategy);
-        },
-        options);
-}
-
 std::vector<fl::RunResult> run_experiment_trials(const ExperimentSpec& spec,
                                                  const std::string& policy,
                                                  std::size_t trials,
@@ -216,16 +190,6 @@ std::vector<fl::RunResult> run_experiment_trials(const ExperimentSpec& spec,
 AveragedSeries averaged_experiment(const ExperimentSpec& spec, const std::string& policy,
                                    std::size_t trials, const TrialRunnerOptions& options) {
     return average_runs(run_experiment_trials(spec, policy, trials, options));
-}
-
-AveragedSeries averaged_simulation(const SimulationConfig& config, Strategy strategy,
-                                   std::size_t trials, const TrialRunnerOptions& options) {
-    return average_runs(run_simulation_trials(config, strategy, trials, options));
-}
-
-AveragedSeries averaged_realworld(const RealWorldConfig& config, Strategy strategy,
-                                  std::size_t trials, const TrialRunnerOptions& options) {
-    return average_runs(run_realworld_trials(config, strategy, trials, options));
 }
 
 } // namespace fmore::core

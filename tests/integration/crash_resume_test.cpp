@@ -343,6 +343,37 @@ TEST(CrashResume, ShardFaultPlanSurvivesResume) {
     expect_in_process_resume_identity(spec, "fmore", /*resume_round=*/2);
 }
 
+TEST(CrashResume, KeysTheKindDoesNotReadStillResume) {
+    // A checkpoint records the spec text of its run, keys the spec's kind
+    // never reads included, and resume compares that text with the spec it
+    // is given. Each run resumes from round 2 and must finish on its
+    // never-interrupted twin's tape.
+    TempDir tmp;
+    std::vector<ExperimentSpec> specs;
+    specs.push_back(tiny_sim_spec(tmp.path("sim_cpu")));
+    specs.back().population.cpu_lo = 2.0;
+    specs.push_back(tiny_sim_spec(tmp.path("sim_spread")));
+    specs.back().timing.latency_spread = 0.3;
+    specs.push_back(tiny_testbed_spec(tmp.path("testbed_alpha")));
+    specs.back().auction.alpha = 30.0;
+    specs.push_back(tiny_testbed_spec(tmp.path("testbed_shards")));
+    specs.back().population.shards_hi = 7;
+    for (const ExperimentSpec& spec : specs) {
+        SCOPED_TRACE(spec.timing.checkpoint_dir);
+        ExperimentTrial first(spec, 0);
+        (void)first.run_resumable("fmore", nullptr);
+        const RunCheckpoint mid =
+            load_checkpoint(checkpoint_run_dir(spec.timing.checkpoint_dir, "fmore", 0)
+                            + "/" + checkpoint_filename(2));
+
+        ExperimentTrial resumed(spec, 0);
+        const fl::RunResult result = resumed.run_resumable("fmore", &mid);
+        ExperimentTrial twin(twin_of(spec), 0);
+        const fl::RunResult reference = twin.run_resumable("fmore", nullptr);
+        expect_rounds_equal(reference.rounds, result.rounds);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Guard rails
 // ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ TEST(SyntheticGolden, Cifar10) {
 }
 
 TEST(SyntheticGolden, TestbedCifar) {
-    // The testbed's harder proxy (core::RealWorldTrial).
+    // The testbed's harder proxy (core::ExperimentTrial on a testbed spec).
     ImageDatasetSpec spec = cifar10_spec(2000);
     spec.noise = 0.85;
     spec.prototype_overlap = 0.35;
